@@ -18,18 +18,7 @@ import numpy as np
 from bnncert.certify import CertifyConfig, psafe_lower, psafe_upper
 from bnncert.net import Network
 from bnncert.spec import InputBox, argmax_spec
-from bnncert.trainer import TrainConfig, fit_vi, make_hcas_like
-
-
-def hcas_label(center):
-    dist, bearing, heading, tau = center
-    if dist >= 0.0:
-        return 0
-    if bearing >= 0.5:
-        return 1
-    if bearing >= 0.0:
-        return 2
-    return 3 if heading >= tau else 4
+from bnncert.trainer import TrainConfig, fit_vi, hcas_label, make_hcas_like
 
 
 def grid_cells(lo, hi, width):
@@ -68,7 +57,7 @@ def main(argv=None):
             lower = np.array([dlo, blo, 0.25, -0.25])
             upper = np.array([dhi, bhi, 0.25, -0.25])
             T = InputBox(lower=lower, upper=upper)
-            S = argmax_spec(hcas_label(T.center), 5)
+            S = argmax_spec(int(hcas_label(T.center)), 5)
             lo = psafe_lower(net, post, T, S, cfg).value
             up = psafe_upper(net, post, T, S, cfg).value
             if lo >= args.tau_safe:

@@ -3,24 +3,22 @@
 Four certificates are produced: lower/upper bounds on the posterior
 probability of safety, and lower/upper bounds on the posterior-predictive
 decision (softmax mean for classification, output mean for regression).
-All of them share the same loop: sample weight boxes from the posterior,
-propagate the input region jointly with each box, and integrate posterior
-mass exactly over the boxes that pass the relevant check.
+All of them are one pipeline: sample weight boxes from the posterior,
+integrate each box's mass exactly, propagate the input region jointly with
+each box to one value per box, and reduce that table to a bound.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import attack as attack_mod
-from .net import Network, forward, softmax
-from .posterior import (Posterior, SamplePosterior, WeightBox, bonferroni_bounds,
-                        box_mass, disjointify, make_box, sample, _intersect_all)
+from .net import Network
+from .posterior import (Posterior, WeightBox, box_mass, disjointify,
+                        inclusion_exclusion, make_box, sample)
 from .propagate import propagate
 from .spec import InputBox, OutputSpec, contains, excludes
 
@@ -31,9 +29,10 @@ class CertifyConfig:
     gamma: float = 2.5
     method: str = "ibp"
     margin_scale: str = "std"
-    bonferroni: tuple[int, int] | None = None   # (depth_lower, depth_upper)
+    # Even inclusion-exclusion depth that prices overlapping boxes; None
+    # disjointifies the boxes instead.
+    bonferroni: int | None = None
     rng_seed: int = 0
-    threads: int = 1
     # Finite co-domain bounds for regression decision robustness; softmax
     # classification always uses [0, 1].
     sigma_floor: float | None = None
@@ -45,6 +44,9 @@ class CertifyConfig:
             raise ValueError("num_samples must be >= 0")
         if self.method not in ("ibp", "lbp"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.bonferroni is not None and (self.bonferroni < 2
+                                            or self.bonferroni % 2):
+            raise ValueError("bonferroni must be an even depth >= 2")
 
 
 @dataclass
@@ -63,47 +65,61 @@ class Certificate:
         return asdict(self)
 
 
-def _config_echo(cfg: CertifyConfig) -> dict:
-    d = asdict(cfg)
-    d.pop("attack", None)
-    return d
+@dataclass
+class _BoxTable:
+    """The kept weight boxes of one certificate, each box's posterior mass
+    (integrated once) and one value per box."""
+
+    posterior: Posterior
+    depth: int                 # inclusion-exclusion depth; 1 when disjoint
+    boxes: list[WeightBox]
+    masses: list[float]
+    values: list
+    used: int                  # boxes sampled before disjointify
+
+    def mean_bound(self, psi, lo: float, hi: float, lower: bool):
+        """Bound on the posterior mean of any f with lo <= f <= hi that is
+        >= psi[i] (lower) or <= psi[i] (upper) on box i; also returns the
+        covered mass.
+
+        Uncovered mass is charged at lo (resp. hi), and an intersection at
+        its least favourable psi, so the value is sigma + IE(g) (resp.
+        sigma - IE(g)) with g = |psi - sigma| >= 0. IE(g) at an even depth,
+        or over disjoint boxes, is at most the integral of the largest g
+        among the boxes holding each weight, and the mean lies in [lo, hi],
+        so clamping the value into [lo, hi] keeps it sound.
+        """
+        sigma, pick = (lo, min) if lower else (hi, max)
+        acc, total = inclusion_exclusion(self.boxes, self.masses, psi, pick,
+                                         self.posterior, self.depth)
+        value = acc + sigma * (1.0 - min(total, 1.0))
+        return min(max(value, lo), hi), min(max(total, 0.0), 1.0)
 
 
-def _sample_boxes(posterior: Posterior, cfg: CertifyConfig) -> list[WeightBox]:
-    """One box per sample index, each with its own deterministic seed so a
-    longer run extends a shorter one instead of reshuffling it."""
-    boxes = []
-    for i in range(cfg.num_samples):
-        w = sample(posterior, (cfg.rng_seed, i))
-        boxes.append(make_box(w, cfg.gamma, posterior, cfg.margin_scale))
-    return boxes
-
-
-def _prepare_boxes(posterior: Posterior, cfg: CertifyConfig):
-    boxes = _sample_boxes(posterior, cfg)
+def _box_table(posterior: Posterior, cfg: CertifyConfig, per_box) -> _BoxTable:
+    """Sample one box per index (each with its own seed, so a longer run
+    extends a shorter one instead of reshuffling it), disjointify unless
+    Bonferroni pricing is on, and evaluate per_box on every kept box."""
+    boxes = [make_box(sample(posterior, (cfg.rng_seed, i)), cfg.gamma,
+                      posterior, cfg.margin_scale)
+             for i in range(cfg.num_samples)]
     used = len(boxes)
     if cfg.bonferroni is None:
         boxes = disjointify(boxes)
-    return boxes, used
+    return _BoxTable(posterior=posterior, depth=cfg.bonferroni or 1,
+                     boxes=boxes,
+                     masses=[box_mass(posterior, b) for b in boxes],
+                     values=[per_box(b) for b in boxes], used=used)
 
 
-def _map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _union_mass(boxes: list[WeightBox], posterior: Posterior,
-                cfg: CertifyConfig, want_lower: bool) -> float:
-    """Posterior mass of a family of boxes: exact sum when disjoint, the
-    appropriate Bonferroni side when overlaps are allowed."""
-    if not boxes:
-        return 0.0
-    if cfg.bonferroni is None:
-        return float(sum(box_mass(posterior, b) for b in boxes))
-    lo, up = bonferroni_bounds(boxes, posterior, *cfg.bonferroni)
-    return lo if want_lower else up
+def _certificate(prop, direction, value, covered, table, kept, t0, cfg,
+                 extra=None) -> Certificate:
+    config = asdict(cfg)
+    config.pop("attack")
+    return Certificate(property=prop, direction=direction, value=value,
+                       covered_mass=covered, boxes_used=table.used,
+                       boxes_kept=kept, wall_time=time.perf_counter() - t0,
+                       config=config, extra=extra or {})
 
 
 def psafe_lower(net: Network, posterior: Posterior, T: InputBox, S: OutputSpec,
@@ -111,20 +127,11 @@ def psafe_lower(net: Network, posterior: Posterior, T: InputBox, S: OutputSpec,
     """Sound lower bound: mass of sampled weight boxes whose propagated
     output box lies entirely inside S."""
     t0 = time.perf_counter()
-    boxes, used = _prepare_boxes(posterior, cfg)
-
-    def is_safe(box):
-        yL, yU = propagate(net, T, box, cfg.method)
-        return contains(S, yL, yU)
-
-    flags = _map(is_safe, boxes, cfg.threads)
-    safe = [b for b, ok in zip(boxes, flags) if ok]
-    value = min(_union_mass(safe, posterior, cfg, want_lower=True), 1.0)
-    covered = min(_union_mass(boxes, posterior, cfg, want_lower=True), 1.0)
-    return Certificate(property="psafe", direction="lower", value=value,
-                       covered_mass=covered, boxes_used=used,
-                       boxes_kept=len(safe), wall_time=time.perf_counter() - t0,
-                       config=_config_echo(cfg))
+    table = _box_table(posterior, cfg, lambda box: float(
+        contains(S, *propagate(net, T, box, cfg.method))))
+    value, covered = table.mean_bound(table.values, 0.0, 1.0, lower=True)
+    return _certificate("psafe", "lower", value, covered, table,
+                        int(sum(table.values)), t0, cfg)
 
 
 def psafe_upper(net: Network, posterior: Posterior, T: InputBox, S: OutputSpec,
@@ -137,28 +144,19 @@ def psafe_upper(net: Network, posterior: Posterior, T: InputBox, S: OutputSpec,
     attack merely skips the box, which keeps the bound sound (if loose).
     """
     t0 = time.perf_counter()
-    boxes, used = _prepare_boxes(posterior, cfg)
     acfg = cfg.attack or attack_mod.AttackConfig()
+    acfg = replace(
+        acfg, objective=acfg.objective or attack_mod.SpecViolation(S))
 
     def is_unsafe(box):
-        a = attack_mod.AttackConfig(
-            iterations=acfg.iterations, step_size=acfg.step_size,
-            restarts=acfg.restarts,
-            objective=acfg.objective or attack_mod.SpecViolation(S),
-            seed=acfg.seed)
-        x_adv = attack_mod.pgd(net, box.center, T, a)
-        yL, yU = propagate(net, InputBox.point(x_adv), box, cfg.method)
-        return excludes(S, yL, yU)
+        x_adv = attack_mod.pgd(net, box.center, T, acfg)
+        return float(excludes(S, *propagate(net, InputBox.point(x_adv), box,
+                                            cfg.method)))
 
-    flags = _map(is_unsafe, boxes, cfg.threads)
-    unsafe = [b for b, ok in zip(boxes, flags) if ok]
-    unsafe_mass = min(_union_mass(unsafe, posterior, cfg, want_lower=True), 1.0)
-    covered = min(_union_mass(boxes, posterior, cfg, want_lower=True), 1.0)
-    return Certificate(property="psafe", direction="upper",
-                       value=float(1.0 - unsafe_mass), covered_mass=covered,
-                       boxes_used=used, boxes_kept=len(unsafe),
-                       wall_time=time.perf_counter() - t0,
-                       config=_config_echo(cfg))
+    table = _box_table(posterior, cfg, is_unsafe)
+    unsafe_mass, covered = table.mean_bound(table.values, 0.0, 1.0, lower=True)
+    return _certificate("psafe", "upper", 1.0 - unsafe_mass, covered, table,
+                        int(sum(table.values)), t0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +176,7 @@ def output_worst(yL: np.ndarray, yU: np.ndarray, c: int) -> float:
 
 def output_best(yL: np.ndarray, yU: np.ndarray, c: int) -> float:
     """Mirror of output_worst: own upper logit against other lower logits."""
-    yL = np.asarray(yL, dtype=float)
-    yU = np.asarray(yU, dtype=float)
-    others = np.delete(yL, c)
-    m = max(float(yU[c]), float(others.max())) if others.size else float(yU[c])
-    denom = np.exp(yU[c] - m) + np.exp(others - m).sum()
-    return float(np.exp(yU[c] - m) / denom)
+    return output_worst(yU, yL, c)
 
 
 @dataclass(frozen=True)
@@ -209,95 +202,47 @@ def _sigma_range(task: Task, cfg: CertifyConfig):
     return float(cfg.sigma_floor), float(cfg.sigma_ceil)
 
 
-def _propagated_boxes(net, posterior, T, cfg):
-    boxes, used = _prepare_boxes(posterior, cfg)
-
-    def run(box):
-        yL, yU = propagate(net, T, box, cfg.method)
-        return box, yL, yU, box_mass(posterior, box)
-
-    return _map(run, boxes, cfg.threads), used
+def _output_table(net, posterior, T, cfg) -> _BoxTable:
+    return _box_table(posterior, cfg,
+                      lambda box: propagate(net, T, box, cfg.method))
 
 
-def _dsafe_value(entries, posterior, cfg, psi_fn, sigma_bound, want_lower):
-    """Assemble a decision bound from per-box output boxes.
-
-    entries: list of (box, yL, yU, mass). psi_fn maps (yL, yU) to the sound
-    per-box output bound. The posterior mass not covered by any box is
-    charged at the co-domain bound sigma_bound.
-    """
-    if cfg.bonferroni is None:
-        total = sum(m for _, _, _, m in entries)
-        acc = sum(m * psi_fn(yL, yU) for _, yL, yU, m in entries)
+def _decision_bound(table: _BoxTable, task: Task, lo: float, hi: float,
+                    lower: bool) -> tuple[float, float]:
+    """Bound on one output's posterior-predictive mean, known to lie in
+    [lo, hi], from a table of per-box output boxes; returns the value and
+    the covered mass."""
+    c = task.class_index
+    if task.kind == "classification":
+        psi = [output_worst(yL, yU, c) if lower else output_best(yL, yU, c)
+               for yL, yU in table.values]
+    elif lower:
+        psi = [max(float(yL[c]), lo) for yL, _ in table.values]
     else:
-        boxes = [b for b, _, _, _ in entries]
-        psis = [psi_fn(yL, yU) for _, yL, yU, _ in entries]
-        acc, total = _bonferroni_weighted(boxes, psis, posterior,
-                                          cfg.bonferroni, want_lower)
-    total = min(total, 1.0)
-    return float(acc + sigma_bound * (1.0 - total)), float(total)
+        psi = [min(float(yU[c]), hi) for _, yU in table.values]
+    return table.mean_bound(psi, lo, hi, lower)
 
 
-def _bonferroni_weighted(boxes, psis, posterior, depths, want_lower):
-    """Truncated inclusion-exclusion for the mass-weighted output sum over
-    overlapping boxes. Every correction term prices its intersection at the
-    most conservative of the participating per-box bounds (max of lower
-    bounds when lower-bounding, min of upper bounds when upper-bounding)."""
-    depth_lower, depth_upper = depths
-    depth = min(depth_lower if want_lower else depth_upper, len(boxes))
-    pick = max if want_lower else min
-    acc = 0.0
-    mass = 0.0
-    for j in range(1, depth + 1):
-        sign = (-1.0) ** (j + 1)
-        for combo in itertools.combinations(range(len(boxes)), j):
-            inter = _intersect_all([boxes[i] for i in combo])
-            if inter is None:
-                continue
-            m = box_mass(posterior, inter)
-            acc += sign * m * pick(psis[i] for i in combo)
-            mass += sign * m
-    return acc, max(mass, 0.0)
+def _dsafe(net, posterior, T, cfg, task, lower: bool) -> Certificate:
+    t0 = time.perf_counter()
+    lo, hi = _sigma_range(task, cfg)
+    table = _output_table(net, posterior, T, cfg)
+    value, covered = _decision_bound(table, task, lo, hi, lower)
+    return _certificate("dsafe", "lower" if lower else "upper", value,
+                        covered, table, len(table.boxes), t0, cfg,
+                        extra={"task": task.kind, "index": task.class_index})
 
 
 def dsafe_lower(net: Network, posterior: Posterior, T: InputBox,
                 cfg: CertifyConfig, task: Task) -> Certificate:
     """Sound lower bound on the posterior-predictive decision for one output."""
-    t0 = time.perf_counter()
-    sigma_lo, _ = _sigma_range(task, cfg)
-    entries, used = _propagated_boxes(net, posterior, T, cfg)
-    if task.kind == "classification":
-        psi = lambda yL, yU: output_worst(yL, yU, task.class_index)
-    else:
-        psi = lambda yL, yU: max(float(yL[task.class_index]), sigma_lo)
-    value, covered = _dsafe_value(entries, posterior, cfg, psi, sigma_lo,
-                                  want_lower=True)
-    return Certificate(property="dsafe", direction="lower", value=value,
-                       covered_mass=covered, boxes_used=used,
-                       boxes_kept=len(entries),
-                       wall_time=time.perf_counter() - t0,
-                       config=_config_echo(cfg),
-                       extra={"task": task.kind, "index": task.class_index})
+    return _dsafe(net, posterior, T, cfg, task, lower=True)
 
 
 def dsafe_upper(net: Network, posterior: Posterior, T: InputBox,
                 cfg: CertifyConfig, task: Task) -> Certificate:
     """Sound upper bound on the posterior-predictive decision for one output."""
-    t0 = time.perf_counter()
-    _, sigma_hi = _sigma_range(task, cfg)
-    entries, used = _propagated_boxes(net, posterior, T, cfg)
-    if task.kind == "classification":
-        psi = lambda yL, yU: output_best(yL, yU, task.class_index)
-    else:
-        psi = lambda yL, yU: min(float(yU[task.class_index]), sigma_hi)
-    value, covered = _dsafe_value(entries, posterior, cfg, psi, sigma_hi,
-                                  want_lower=False)
-    return Certificate(property="dsafe", direction="upper", value=value,
-                       covered_mass=covered, boxes_used=used,
-                       boxes_kept=len(entries),
-                       wall_time=time.perf_counter() - t0,
-                       config=_config_echo(cfg),
-                       extra={"task": task.kind, "index": task.class_index})
+    return _dsafe(net, posterior, T, cfg, task, lower=False)
 
 
 def dsafe_bounds_all_classes(net: Network, posterior: Posterior, T: InputBox,
@@ -306,16 +251,12 @@ def dsafe_bounds_all_classes(net: Network, posterior: Posterior, T: InputBox,
 
     Returns (lowers, uppers) arrays of length output_dim.
     """
-    entries, _ = _propagated_boxes(net, posterior, T, cfg)
-    n = net.output_dim
-    lowers, uppers = np.zeros(n), np.zeros(n)
-    for c in range(n):
-        lowers[c], _ = _dsafe_value(entries, posterior, cfg,
-                                    lambda yL, yU: output_worst(yL, yU, c),
-                                    0.0, want_lower=True)
-        uppers[c], _ = _dsafe_value(entries, posterior, cfg,
-                                    lambda yL, yU: output_best(yL, yU, c),
-                                    1.0, want_lower=False)
+    table = _output_table(net, posterior, T, cfg)
+    tasks = [Task.classification(c) for c in range(net.output_dim)]
+    lowers = np.array([_decision_bound(table, t, 0.0, 1.0, True)[0]
+                       for t in tasks])
+    uppers = np.array([_decision_bound(table, t, 0.0, 1.0, False)[0]
+                       for t in tasks])
     return lowers, uppers
 
 

@@ -11,6 +11,7 @@ import argparse
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -39,15 +40,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_bonferroni(text):
-    try:
-        lo, up = (int(t) for t in text.split(","))
-        return lo, up
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected two comma-separated depths, e.g. 2,1")
-
-
 def _add_certify_flags(p):
     p.add_argument("--posterior", required=True)
     p.add_argument("--spec", required=True)
@@ -55,10 +47,9 @@ def _add_certify_flags(p):
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--gamma", type=float, default=2.5)
     p.add_argument("--margin-scale", choices=("std", "var"), default="std")
-    p.add_argument("--bonferroni", type=_parse_bonferroni, default=None,
-                   metavar="DL,DU")
+    p.add_argument("--bonferroni", type=int, default=None, metavar="D",
+                   help="even inclusion-exclusion depth for overlapping boxes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
 
 
@@ -72,7 +63,6 @@ def build_parser() -> _Parser:
     _add_certify_flags(pc)
     pc.add_argument("--property", choices=("psafe", "dsafe"), default="psafe")
     pc.add_argument("--bound", choices=("lower", "upper"), default="lower")
-    pc.add_argument("--tau-uncertain", type=float, default=None)
 
     ps = sub.add_parser("sweep", help="grid sweep with safe/unsafe verdicts")
     _add_certify_flags(ps)
@@ -101,7 +91,6 @@ def build_parser() -> _Parser:
     pt.add_argument("--kl-weight", type=float, default=1.0)
     pt.add_argument("--n-data", type=int, default=300)
     pt.add_argument("--seed", type=int, default=0)
-    pt.add_argument("--threads", type=int, default=1)
     pt.add_argument("--out", required=True)
 
     ph = sub.add_parser("hmc", help="draw an HMC sample posterior")
@@ -116,13 +105,11 @@ def build_parser() -> _Parser:
     ph.add_argument("--prior-variance", type=float, default=0.5)
     ph.add_argument("--n-data", type=int, default=100)
     ph.add_argument("--seed", type=int, default=0)
-    ph.add_argument("--threads", type=int, default=1)
     ph.add_argument("--out", required=True)
 
     pv = sub.add_parser("validate",
                         help="sandwich certified bounds against MC/PGD estimates")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--threads", type=int, default=1)
     pv.add_argument("--cases", type=int, default=6)
     pv.add_argument("--out", default=None)
     return p
@@ -132,7 +119,7 @@ def _certify_config(args) -> certify_mod.CertifyConfig:
     return certify_mod.CertifyConfig(
         num_samples=args.samples, gamma=args.gamma, method=args.method,
         margin_scale=args.margin_scale, bonferroni=args.bonferroni,
-        rng_seed=args.seed, threads=args.threads)
+        rng_seed=args.seed)
 
 
 def _emit(text: str, out: str | None):
@@ -172,25 +159,15 @@ def _grid_cells(grid):
     for lo, hi, width in grid:
         if width <= 0 or hi <= lo:
             raise io_mod.FileFormatError("grid needs hi > lo and cell_width > 0")
-        edges = np.arange(lo, hi, width)
+        # Rounding can make arange add a last cell that starts at hi, as
+        # (1.3 - 1) / 0.1 > 3 does; count the cells with a tolerance.
+        n = math.ceil((hi - lo) / width - 1e-9)
+        edges = np.arange(lo, hi, width)[:n]
         axes.append([(e, min(e + width, hi)) for e in edges])
     for cid, combo in enumerate(itertools.product(*axes)):
         lo = np.array([c[0] for c in combo])
         hi = np.array([c[1] for c in combo])
         yield cid, lo, hi
-
-
-def _hcas_label(center) -> int:
-    """Label a sweep cell with the same advisory rule the synthetic
-    collision-avoidance dataset uses."""
-    dist, bearing, heading, tau = center
-    if dist >= 0.0:
-        return 0
-    if bearing >= 0.5:
-        return 1
-    if bearing >= 0.0:
-        return 2
-    return 3 if heading >= tau else 4
 
 
 def cmd_sweep(args) -> int:
@@ -209,7 +186,7 @@ def cmd_sweep(args) -> int:
         if "true_class" in doc:
             label = int(doc["true_class"])
         elif doc.get("label_rule") == "hcas":
-            label = _hcas_label(T.center)
+            label = int(trainer.hcas_label(T.center))
         else:
             raise io_mod.FileFormatError("sweep spec needs true_class or "
                                          "label_rule 'hcas'")
@@ -226,6 +203,8 @@ def cmd_sweep(args) -> int:
         else:
             verdict = "uncertifiable"
         counts[verdict] += 1
+        log.debug("sweep cell %d: psafe in [%.6f, %.6f], %s",
+                  cid, pl, pu, verdict)
         rows.append((cid, f"{pl:.6f}", f"{pu:.6f}", verdict))
 
     total = max(sum(counts.values()), 1)
@@ -331,8 +310,7 @@ def cmd_validate(args) -> int:
         c = int(np.argmax(forward(net, post.mean, T.center)))
         S = argmax_spec(c, net.output_dim)
         cfg = certify_mod.CertifyConfig(num_samples=8, gamma=1.5,
-                                        method="lbp", rng_seed=args.seed + i,
-                                        threads=args.threads)
+                                        method="lbp", rng_seed=args.seed + i)
         lo = certify_mod.psafe_lower(net, post, T, S, cfg).value
         up = certify_mod.psafe_upper(net, post, T, S, cfg).value
         est, ci_lo, ci_hi = oracle.psafe_estimate(net, post, T, S,

@@ -76,6 +76,10 @@ def load_posterior(path) -> tuple[Network, Posterior]:
             raise FileFormatError(f"unknown posterior kind {kind!r}")
     except KeyError as e:
         raise FileFormatError(f"posterior file {path} missing field {e}") from e
+    except (ShapeError, FileFormatError):
+        raise
+    except ValueError as e:
+        raise FileFormatError(f"bad posterior in {path}: {e}") from e
     if post.n_weights != net.n_weights:
         raise ShapeError(f"posterior has {post.n_weights} weights but the "
                          f"architecture needs {net.n_weights}")

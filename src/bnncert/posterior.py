@@ -11,6 +11,11 @@ from scipy.special import erf
 from .net import ShapeError
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianPosterior:
     """Diagonal-Gaussian posterior over the flat weight vector."""
@@ -25,6 +30,8 @@ class GaussianPosterior:
         object.__setattr__(self, "variance", v)
         if m.shape != v.shape:
             raise ShapeError("mean and variance lengths differ")
+        _require_finite(m, "posterior mean")
+        _require_finite(v, "posterior variance")
         if np.any(v <= 0):
             raise ValueError("variance entries must be strictly positive")
 
@@ -50,6 +57,7 @@ class SamplePosterior:
         object.__setattr__(self, "samples", s)
         if s.shape[0] < 1:
             raise ValueError("need at least one sample")
+        _require_finite(s, "posterior samples")
         w = self.weights
         if w is None:
             w = np.full(s.shape[0], 1.0 / s.shape[0])
@@ -58,6 +66,7 @@ class SamplePosterior:
         object.__setattr__(self, "weights", w)
         if w.shape[0] != s.shape[0]:
             raise ShapeError("one weight per sample required")
+        _require_finite(w, "sample weights")
         if abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
             raise ValueError("sample weights must be a probability vector")
 
@@ -81,6 +90,8 @@ class WeightBox:
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape:
             raise ShapeError("box bounds must have equal length")
+        _require_finite(lo, "box lower bound")
+        _require_finite(hi, "box upper bound")
         if np.any(lo > hi):
             raise ValueError("box lower bound exceeds upper bound")
 
@@ -161,41 +172,50 @@ def _intersect_all(boxes: list[WeightBox]) -> WeightBox | None:
     return WeightBox(lower=lo, upper=hi)
 
 
+def inclusion_exclusion(boxes: list[WeightBox], masses: list[float],
+                        values: list[float], pick, posterior: Posterior,
+                        depth: int) -> tuple[float, float]:
+    """Truncated inclusion-exclusion over a family of weight boxes.
+
+    Returns (sum_J s_J m(J) pick(values[J]), sum_J s_J m(J)) over every
+    index set J of at most ``depth`` boxes, where m(J) is the posterior mass
+    of the boxes' intersection (``masses[i]`` for J = {i}, integrated here
+    for larger J) and s_J = (-1)^(|J|+1).
+
+    With values all 1 the second sum is the truncated union mass: an even
+    depth under-counts it, an odd depth over-counts it, and any depth is
+    exact for pairwise-disjoint boxes. For values g >= 0 priced with
+    ``min``, an even depth likewise bounds from below the integral of the
+    largest g among the boxes containing each weight. Cost is O(N^depth).
+    """
+    acc = sum(m * v for m, v in zip(masses, values))
+    total = sum(masses)
+    for j in range(2, min(depth, len(boxes)) + 1):
+        sign = (-1.0) ** (j + 1)
+        for combo in itertools.combinations(range(len(boxes)), j):
+            inter = _intersect_all([boxes[i] for i in combo])
+            if inter is not None:
+                m = sign * box_mass(posterior, inter)
+                acc += m * pick(values[i] for i in combo)
+                total += m
+    return float(acc), float(total)
+
+
 def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
                       depth_lower: int = 2, depth_upper: int = 1) -> tuple[float, float]:
     """Two-sided bounds on the posterior mass of a union of (possibly
-    overlapping) boxes via truncated inclusion-exclusion.
-
-    The j-th partial sum S_j adds the masses of all j-wise intersections,
-    each itself an axis-aligned box. Truncating the alternating series at an
-    even depth under-counts (lower bound), at an odd depth over-counts
-    (upper bound). Cost is O(N^depth).
-    """
-    if not boxes:
-        return 0.0, 0.0
+    overlapping) boxes: inclusion-exclusion truncated at an even depth
+    (lower bound) and at an odd depth (upper bound)."""
     if depth_lower % 2 != 0 or depth_lower < 2:
         raise ValueError("depth_lower must be an even integer >= 2")
     if depth_upper % 2 != 1 or depth_upper < 1:
         raise ValueError("depth_upper must be an odd integer >= 1")
-    n = len(boxes)
-    max_depth = min(max(depth_lower, depth_upper), n)
-    partial = {}
-    for j in range(1, max_depth + 1):
-        s = 0.0
-        for combo in itertools.combinations(range(n), j):
-            inter = _intersect_all([boxes[i] for i in combo])
-            if inter is not None:
-                s += box_mass(posterior, inter)
-        partial[j] = s
-
-    def truncated(depth):
-        depth = min(depth, n)
-        return sum((-1) ** (j + 1) * partial[j] for j in range(1, depth + 1))
-
-    lower = truncated(depth_lower)
-    upper = truncated(depth_upper)
-    if min(depth_lower, n) == n and min(depth_upper, n) == n:
-        upper = lower = truncated(n)
+    masses = [box_mass(posterior, b) for b in boxes]
+    ones = [1.0] * len(boxes)
+    _, lower = inclusion_exclusion(boxes, masses, ones, min, posterior,
+                                   depth_lower)
+    _, upper = inclusion_exclusion(boxes, masses, ones, min, posterior,
+                                   depth_upper)
     return float(np.clip(lower, 0.0, 1.0)), float(np.clip(upper, 0.0, 1.0))
 
 

@@ -229,17 +229,15 @@ def _bilinear_lbf(A, b_end, zref, zL_f, zU_f, lower_side: bool):
     return f
 
 
-def lbp_forward(net: Network, T: InputBox, R: WeightBox,
-                intersect_ibp: bool = True):
+def lbp_forward(net: Network, T: InputBox, R: WeightBox):
     """Output bounding box via linear bound propagation.
 
     Intermediate pre-activation intervals come from optimizing the current
-    LBFs analytically over (T, R); with ``intersect_ibp`` they are further
-    intersected with IBP's intervals at the same layer, which is sound and
-    never looser than either method alone.
+    LBFs analytically over (T, R), intersected with IBP's intervals at the
+    same layer, which is sound and never looser than either method alone.
     """
     wboxes = _unpack_box(net, R)
-    ibp_pre = ibp_layer_intervals(net, T, R) if intersect_ibp else None
+    ibp_pre = ibp_layer_intervals(net, T, R)
     if T.dim != net.input_dim:
         raise ShapeError(f"input box dim {T.dim} != network input dim {net.input_dim}")
 
@@ -256,9 +254,8 @@ def lbp_forward(net: Network, T: InputBox, R: WeightBox,
     for k in range(len(net.layers) - 1):
         zetaL = _lbf_extreme(fL, T, wboxes, minimize=True)
         zetaU = _lbf_extreme(fU, T, wboxes, minimize=False)
-        if intersect_ibp:
-            zetaL = np.maximum(zetaL, ibp_pre[k][0])
-            zetaU = np.minimum(zetaU, ibp_pre[k][1])
+        zetaL = np.maximum(zetaL, ibp_pre[k][0])
+        zetaU = np.minimum(zetaU, ibp_pre[k][1])
         # Two sound bounds can cross by rounding when the interval is a point.
         zetaL = np.minimum(zetaL, zetaU)
         act = net.layers[k].activation
@@ -276,9 +273,8 @@ def lbp_forward(net: Network, T: InputBox, R: WeightBox,
 
     yL = _lbf_extreme(fL, T, wboxes, minimize=True)
     yU = _lbf_extreme(fU, T, wboxes, minimize=False)
-    if intersect_ibp:
-        yL = np.maximum(yL, ibp_pre[-1][0])
-        yU = np.minimum(yU, ibp_pre[-1][1])
+    yL = np.maximum(yL, ibp_pre[-1][0])
+    yU = np.minimum(yU, ibp_pre[-1][1])
     yL = np.minimum(yL, yU)
     return yL, yU
 

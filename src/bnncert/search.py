@@ -10,6 +10,7 @@ at every step.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,8 @@ from .certify import Certificate, CertifyConfig, psafe_lower, psafe_upper
 from .net import Network
 from .posterior import Posterior
 from .spec import InputBox, OutputSpec, linf_ball
+
+log = logging.getLogger("bnncert.search")
 
 
 @dataclass
@@ -72,6 +75,7 @@ def max_robust_radius(net: Network, posterior: Posterior, x: np.ndarray,
     for eps in _up_grid(scfg.eps_start_safe, scfg.step, scfg.eps_cap):
         T = linf_ball(x, eps, scfg.clip)
         cert = psafe_lower(net, posterior, T, S, cfg)
+        log.debug("MaxRR eps=%g: psafe_lower=%.6f", eps, cert.value)
         res.epsilons.append(eps)
         res.values.append(cert.value)
         res.certificates.append(cert)
@@ -98,6 +102,7 @@ def min_unrobust_radius(net: Network, posterior: Posterior, x: np.ndarray,
     def check(eps):
         T = linf_ball(x, eps, scfg.clip)
         cert = psafe_upper(net, posterior, T, S, cfg)
+        log.debug("MinUR eps=%g: psafe_upper=%.6f", eps, cert.value)
         res.epsilons.append(eps)
         res.values.append(cert.value)
         res.certificates.append(cert)

@@ -245,15 +245,15 @@ def make_hcas_like(n: int = 500, seed: int = 0):
     """
     rng = np.random.default_rng(seed)
     X = rng.uniform([-1, -1, -1, -1], [1, 1, 1, 1], size=(n, 4))
-    dist, bearing, heading, tau = X.T
-    Y = np.zeros(n, dtype=int)                      # clear-of-conflict
-    close = dist < 0.0
-    Y[close & (bearing >= 0.5)] = 1                 # weak left
-    Y[close & (bearing < 0.5) & (bearing >= 0.0)] = 2   # weak right
-    urgent = close & (bearing < 0.0)
-    Y[urgent & (heading >= tau)] = 3                # strong left
-    Y[urgent & (heading < tau)] = 4                 # strong right
-    return X, Y
+    return X, hcas_label(X)
+
+
+def hcas_label(X):
+    """Advisory of each state row of ``make_hcas_like``: 0 clear of
+    conflict, 1/2 weak left/right, 3/4 strong left/right."""
+    dist, bearing, heading, tau = np.asarray(X, dtype=float).T
+    return np.select([dist >= 0.0, bearing >= 0.5, bearing >= 0.0,
+                      heading >= tau], [0, 1, 2, 3], 4)
 
 
 def make_cubic(n: int = 100, seed: int = 0, noise: float = 0.1):

@@ -8,7 +8,7 @@ from bnncert.certify import (CertifyConfig, Task, decision_robust, dsafe_lower,
                              output_best, output_worst, psafe_lower,
                              psafe_upper, uncertainty_check)
 from bnncert.net import Network, forward, softmax
-from bnncert.posterior import GaussianPosterior, SamplePosterior
+from bnncert.posterior import GaussianPosterior, SamplePosterior, sample
 from bnncert.spec import InputBox, argmax_spec, linf_ball
 
 from conftest import random_net
@@ -269,16 +269,6 @@ class TestProperties:
                 for n in (2, 4, 8, 16)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_threads_do_not_change_results(self, rng):
-        net = random_net(rng, n_layers=1, max_width=8, n_out=2)
-        post = GaussianPosterior(mean=rng.normal(0, 0.4, net.n_weights),
-                                 variance=np.full(net.n_weights, 0.02))
-        T = linf_ball(np.zeros(net.input_dim), 0.05)
-        v1 = psafe_lower(net, post, T, S01, cfg(num_samples=8, gamma=1.0)).value
-        v4 = psafe_lower(net, post, T, S01,
-                         cfg(num_samples=8, gamma=1.0, threads=4)).value
-        assert v1 == v4
-
     def test_config_echo_recorded(self):
         post = atom_posterior(W_SAFE)
         cert = psafe_lower(NET12, post, T_UNIT, S01, cfg(num_samples=1))
@@ -291,7 +281,38 @@ class TestProperties:
         post = GaussianPosterior(mean=rng.normal(0, 0.4, net.n_weights),
                                  variance=np.full(net.n_weights, 0.02))
         T = linf_ball(np.zeros(net.input_dim), 0.03)
-        c = cfg(num_samples=5, gamma=1.0, bonferroni=(2, 1))
+        c = cfg(num_samples=5, gamma=1.0, bonferroni=2)
         lo = psafe_lower(net, post, T, S01, c)
         up = psafe_upper(net, post, T, S01, c)
         assert 0.0 <= lo.value <= up.value + 1e-12
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_bonferroni_depth_must_be_even(self, depth):
+        with pytest.raises(ValueError):
+            cfg(bonferroni=depth)
+
+
+class TestBonferroniDecision:
+    """Overlapping boxes priced by inclusion-exclusion instead of being
+    disjointified; the bounds must still bracket the predictive mean."""
+
+    def test_repeated_atom_keeps_upper_above_mean(self):
+        # atom A: logits (0, 20), class 1; atom B: logits (20, 0), class 0
+        a, b = np.array([0.0, 0, 0, 20]), np.array([0.0, 0, 20, 0])
+        post = atom_posterior(a, b)
+        T = InputBox.point(np.zeros(1))
+        c = cfg(num_samples=2, rng_seed=3, bonferroni=2)
+        assert all(np.array_equal(sample(post, (3, i)), a) for i in range(2))
+        # the predictive mean of class 0 is 0.5: B carries half the mass
+        up = dsafe_upper(NET12, post, T, c, Task.classification(0))
+        assert up.value >= 0.5
+        assert decision_robust(NET12, post, T, 1, c) != "certified-robust"
+
+    def test_constant_regression_output_is_bracketed(self):
+        net = Network.dense([1, 1])
+        post = atom_posterior(np.array([0.0, -4.0]))    # y = -4 everywhere
+        T = InputBox.point(np.zeros(1))
+        c = cfg(num_samples=4, bonferroni=2, sigma_floor=-5.0, sigma_ceil=5.0)
+        task = Task.regression(0)
+        assert dsafe_lower(net, post, T, c, task).value <= -4.0
+        assert dsafe_upper(net, post, T, c, task).value >= -4.0

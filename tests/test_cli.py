@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ class TestCertifyCommand:
                         "--spec", spec_file)
         assert code == 2
         assert "nope.json" in out.err
+
+    def test_non_finite_posterior_exit_2(self, capsys, safe_posterior_file,
+                                        spec_file, tmp_path):
+        doc = json.loads(open(safe_posterior_file).read())
+        doc["variance"][1] = float("inf")
+        bad = tmp_path / "inf_post.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run(capsys, "certify", "--posterior", str(bad),
+                        "--spec", spec_file)
+        assert code == 2
+        assert "finite" in out.err
 
     def test_shape_mismatch_exit_3(self, capsys, safe_posterior_file, tmp_path):
         bad = tmp_path / "bad_spec.json"
@@ -131,6 +143,20 @@ class TestSweepCommand:
             assert f"{v}={verdicts.count(v)}" in footer
 
 
+    def test_grid_rounding_adds_no_empty_cell(self, capsys, safe_posterior_file,
+                                              tmp_path):
+        # np.arange(1, 1.3, 0.1) has a fourth edge at 1.3000000000000003
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps(
+            {"grid": [[1, 1.3, 0.1], [-0.05, 0.05, 0.1]], "true_class": 0}))
+        code, out = run(capsys, "sweep", "--posterior", safe_posterior_file,
+                        "--spec", "unused", "--sweep-spec", str(sweep),
+                        "--samples", "1")
+        assert code == 0
+        lines = out.out.strip().splitlines()
+        assert len([l for l in lines[1:] if not l.startswith("#")]) == 3
+
+
 class TestRadiusCommand:
     def test_emits_header_and_rows(self, capsys, safe_posterior_file, spec_file):
         code, out = run(capsys, "radius", "--posterior", safe_posterior_file,
@@ -190,3 +216,29 @@ def test_log_env_var(capsys, monkeypatch, safe_posterior_file, spec_file):
     code, _ = run(capsys, "certify", "--posterior", safe_posterior_file,
                   "--spec", spec_file)
     assert code == 0
+
+
+def test_debug_progress_per_sweep_cell_and_radius_step(
+        capsys, caplog, safe_posterior_file, spec_file, tmp_path):
+    caplog.set_level(logging.DEBUG, logger="bnncert")
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(
+        {"grid": [[-0.1, 0.1, 0.1], [-0.05, 0.05, 0.1]], "true_class": 0}))
+    code, _ = run(capsys, "sweep", "--posterior", safe_posterior_file,
+                  "--spec", "unused", "--sweep-spec", str(sweep),
+                  "--samples", "2")
+    assert code == 0
+    assert [r.getMessage()[:12] for r in caplog.records] == ["sweep cell 0",
+                                                             "sweep cell 1"]
+    caplog.clear()
+    code, out = run(capsys, "radius", "--posterior", safe_posterior_file,
+                    "--spec", spec_file, "--samples", "2", "--gamma", "5.0",
+                    "--step", "0.05", "--eps-start-safe", "0.05",
+                    "--eps-start-unsafe", "0.1", "--eps-cap", "0.2")
+    assert code == 0
+    rows = [l.split(",") for l in out.out.strip().splitlines()[1:]]
+    steps = {name: len(eps.split(";")) for name, _, _, eps, _ in rows}
+    logged = [r.getMessage().split(" ")[0] for r in caplog.records
+              if r.name == "bnncert.search"]
+    assert logged.count("MaxRR") == steps["maxrr"]
+    assert logged.count("MinUR") == steps["minur"]

@@ -42,6 +42,17 @@ def test_malformed_posterior_raises(tmp_path):
         load_posterior(path)
 
 
+def test_non_finite_posterior_is_format_error(tmp_path):
+    path = tmp_path / "p.json"
+    save_posterior(path, Network.dense([1, 1]),
+                   GaussianPosterior(mean=np.zeros(2), variance=np.ones(2)))
+    doc = json.loads(path.read_text())
+    doc["mean"][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError, match="finite"):
+        load_posterior(path)
+
+
 def test_posterior_arch_mismatch(tmp_path):
     net = Network.dense([2, 2])
     post = GaussianPosterior(mean=np.zeros(10), variance=np.ones(10))

@@ -215,3 +215,17 @@ def test_sample_posterior_validation():
         SamplePosterior(samples=np.array([[1.0]]), weights=np.array([0.5]))
     with pytest.raises(ValueError):
         GaussianPosterior(mean=np.zeros(2), variance=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GaussianPosterior(mean=np.array([np.nan, 0.0]), variance=np.ones(2)),
+    lambda: GaussianPosterior(mean=np.zeros(2), variance=np.array([1.0, np.inf])),
+    lambda: SamplePosterior(samples=np.array([[0.0, np.nan]])),
+    lambda: SamplePosterior(samples=np.zeros((2, 1)),
+                            weights=np.array([np.nan, 0.5])),
+    lambda: WeightBox(lower=np.array([-np.inf]), upper=np.array([0.0])),
+    lambda: WeightBox(lower=np.array([0.0]), upper=np.array([np.nan])),
+])
+def test_non_finite_input_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()

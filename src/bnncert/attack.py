@@ -1,112 +1,23 @@
-"""Gradient attacks on a fixed-weight network sample.
+"""Gradient attack on a fixed-weight network sample.
 
-PGD over an input box, used to seed unsafe-box checks and as the
-empirical probe in the Monte-Carlo sandwich validation.
+PGD over an input box against an output spec, used to seed unsafe-box
+checks and as the empirical probe in the Monte-Carlo sandwich validation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Network, backprop, forward, softmax
+from .net import Network, backprop, forward
 from .spec import InputBox, OutputSpec
-
-
-class Objective:
-    """Scalar attack objective; PGD descends, so lower value = better attack."""
-
-    def value(self, y: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def grad_logits(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-@dataclass
-class SpecViolation(Objective):
-    """Minimize the worst-satisfied constraint row of C y + d >= 0; a negative
-    value means the point violates the spec."""
-
-    S: OutputSpec
-
-    def value(self, y):
-        return float(np.min(self.S.C @ y + self.S.d))
-
-    def grad_logits(self, y):
-        j = int(np.argmin(self.S.C @ y + self.S.d))
-        return self.S.C[j]
-
-
-@dataclass
-class ClassProbability(Objective):
-    """Minimize (or maximize) the softmax probability of one class."""
-
-    class_index: int
-    maximize: bool = False
-
-    def value(self, y):
-        p = float(softmax(y)[self.class_index])
-        return -p if self.maximize else p
-
-    def grad_logits(self, y):
-        p = softmax(y)
-        g = -p[self.class_index] * p
-        g[self.class_index] += p[self.class_index]
-        return -g if self.maximize else g
-
-
-@dataclass
-class OutputValue(Objective):
-    """Minimize (or maximize) a raw output coordinate, for regression."""
-
-    index: int = 0
-    maximize: bool = False
-
-    def value(self, y):
-        v = float(y[self.index])
-        return -v if self.maximize else v
-
-    def grad_logits(self, y):
-        g = np.zeros_like(y)
-        g[self.index] = -1.0 if self.maximize else 1.0
-        return g
-
-
-@dataclass
-class OutputDeviation(Objective):
-    """Maximize |output - reference|, the regression analogue of an
-    untargeted attack."""
-
-    reference: np.ndarray
-    index: int = 0
-
-    def value(self, y):
-        return -abs(float(y[self.index]) - float(self.reference[self.index]))
-
-    def grad_logits(self, y):
-        g = np.zeros_like(y)
-        sign = 1.0 if y[self.index] >= self.reference[self.index] else -1.0
-        g[self.index] = -sign
-        return g
-
-
-def untargeted(true_class: int) -> Objective:
-    """Standard misclassification objective."""
-    return ClassProbability(class_index=true_class, maximize=False)
-
-
-def minimize_expectation(class_index: int) -> Objective:
-    return ClassProbability(class_index=class_index, maximize=False)
 
 
 @dataclass
 class AttackConfig:
     iterations: int = 25
-    step_size: float | None = None
     restarts: int = 3
-    objective: Objective | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -114,41 +25,35 @@ class AttackConfig:
             raise ValueError("iterations must be >= 1")
 
 
-def grad(net: Network, w: np.ndarray, x: np.ndarray, objective: Objective) -> np.ndarray:
-    """Gradient of the objective with respect to the input."""
-    y = forward(net, w, x)
-    gx, _ = backprop(net, w, x, objective.grad_logits(y))
-    return gx
-
-
-def pgd(net: Network, w: np.ndarray, T: InputBox, acfg: AttackConfig) -> np.ndarray:
-    """Projected gradient descent over T; returns the best iterate found.
+def pgd(net: Network, w: np.ndarray, T: InputBox, S: OutputSpec,
+        acfg: AttackConfig) -> np.ndarray:
+    """Projected gradient descent over T on the spec margin
+    min(C y + d), which is negative exactly where the point violates S;
+    returns the iterate with the smallest margin.
 
     The search starts at the box center plus seeded random restarts; every
     step is projected back into T, so the result is always a member of T and
-    never worse than the starting center.
+    never worse than the starting center. Each iterate is evaluated once:
+    its margins pick the constraint row that the next step descends.
     """
-    if acfg.objective is None:
-        raise ValueError("attack config needs an objective")
-    obj = acfg.objective
-    width = T.width
-    step = acfg.step_size
-    if step is None:
-        step = 2.5 * np.max(width) / acfg.iterations if np.max(width) > 0 else 0.0
+    def margins(x):
+        return S.C @ forward(net, w, x) + S.d
+
+    width = np.max(T.width)
+    step = 2.5 * width / acfg.iterations if width > 0 else 0.0
     rng = np.random.default_rng(acfg.seed)
+    starts = [T.center] + [rng.uniform(T.lower, T.upper)
+                           for _ in range(acfg.restarts - 1)]
 
-    starts = [T.center]
-    for _ in range(max(acfg.restarts - 1, 0)):
-        starts.append(rng.uniform(T.lower, T.upper))
-
-    best_x = T.center
-    best_val = obj.value(forward(net, w, best_x))
-    for x in starts:
-        x = np.array(x, dtype=float)
+    center_m = margins(T.center)
+    best_x, best_val = T.center, np.min(center_m)
+    for k, x in enumerate(starts):
+        m = center_m if k == 0 else margins(x)
         for _ in range(acfg.iterations):
-            g = grad(net, w, x, obj)
+            g, _ = backprop(net, w, x, S.C[np.argmin(m)])
             x = T.clip(x - step * np.sign(g))
-            v = obj.value(forward(net, w, x))
-            if v < best_val:
-                best_val, best_x = v, x.copy()
+            m = margins(x)
+            val = np.min(m)
+            if val < best_val:
+                best_val, best_x = val, x
     return best_x

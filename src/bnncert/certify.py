@@ -11,7 +11,7 @@ each box to one value per box, and reduce that table to a bound.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -99,13 +99,20 @@ class _BoxTable:
 def _box_table(posterior: Posterior, cfg: CertifyConfig, per_box) -> _BoxTable:
     """Sample one box per index (each with its own seed, so a longer run
     extends a shorter one instead of reshuffling it), disjointify unless
-    Bonferroni pricing is on, and evaluate per_box on every kept box."""
+    Bonferroni pricing is on, and evaluate per_box on every kept box.
+
+    Bonferroni pricing keeps one copy of each repeated box (an atom drawn
+    twice): the union of identical boxes is that box, so this is exact,
+    while a truncated inclusion-exclusion over k copies is not."""
     boxes = [make_box(sample(posterior, (cfg.rng_seed, i)), cfg.gamma,
                       posterior, cfg.margin_scale)
              for i in range(cfg.num_samples)]
     used = len(boxes)
     if cfg.bonferroni is None:
         boxes = disjointify(boxes)
+    else:
+        boxes = list({(b.lower.tobytes(), b.upper.tobytes()): b
+                      for b in boxes}.values())
     return _BoxTable(posterior=posterior, depth=cfg.bonferroni or 1,
                      boxes=boxes,
                      masses=[box_mass(posterior, b) for b in boxes],
@@ -145,11 +152,9 @@ def psafe_upper(net: Network, posterior: Posterior, T: InputBox, S: OutputSpec,
     """
     t0 = time.perf_counter()
     acfg = cfg.attack or attack_mod.AttackConfig()
-    acfg = replace(
-        acfg, objective=acfg.objective or attack_mod.SpecViolation(S))
 
     def is_unsafe(box):
-        x_adv = attack_mod.pgd(net, box.center, T, acfg)
+        x_adv = attack_mod.pgd(net, box.center, T, S, acfg)
         return float(excludes(S, *propagate(net, InputBox.point(x_adv), box,
                                             cfg.method)))
 

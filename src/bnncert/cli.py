@@ -17,13 +17,12 @@ import sys
 
 import numpy as np
 
-from . import attack as attack_mod
 from . import certify as certify_mod
 from . import io as io_mod
 from . import oracle, search, trainer
-from .net import Network, ShapeError
-from .posterior import GaussianPosterior, SamplePosterior
-from .spec import InputBox, OutputSpec, argmax_spec, linf_ball
+from .net import Network, ShapeError, forward
+from .posterior import GaussianPosterior
+from .spec import InputBox, argmax_spec, linf_ball
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -157,8 +156,9 @@ def _grid_cells(grid):
     """Yield (cell_id, lower, upper) covering [min, max) per dimension."""
     axes = []
     for lo, hi, width in grid:
-        if width <= 0 or hi <= lo:
-            raise io_mod.FileFormatError("grid needs hi > lo and cell_width > 0")
+        if not all(map(math.isfinite, (lo, hi, width))) or width <= 0 or hi <= lo:
+            raise io_mod.FileFormatError("grid needs finite lo < hi and "
+                                         "cell_width > 0")
         # Rounding can make arange add a last cell that starts at hi, as
         # (1.3 - 1) / 0.1 > 3 does; count the cells with a tolerance.
         n = math.ceil((hi - lo) / width - 1e-9)
@@ -306,7 +306,6 @@ def cmd_validate(args) -> int:
     failures = []
     report = []
     for i, net, post, T in _validate_cases(args.cases, args.seed):
-        from .net import forward
         c = int(np.argmax(forward(net, post.mean, T.center)))
         S = argmax_spec(c, net.output_dim)
         cfg = certify_mod.CertifyConfig(num_samples=8, gamma=1.5,

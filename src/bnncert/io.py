@@ -15,7 +15,7 @@ import numpy as np
 from .certify import Certificate
 from .net import LayerSpec, Network, ShapeError
 from .posterior import GaussianPosterior, Posterior, SamplePosterior
-from .spec import InputBox, OutputSpec, linf_ball
+from .spec import OutputSpec, argmax_spec, linf_ball
 
 
 class FileFormatError(ValueError):
@@ -97,7 +97,6 @@ def load_spec(path, n_outputs: int | None = None):
     true_class | constraints: {C, d}}. With true_class, n_outputs must be
     known to build the argmax polytope.
     """
-    from .spec import argmax_spec
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -106,22 +105,26 @@ def load_spec(path, n_outputs: int | None = None):
         raise FileFormatError(f"cannot parse spec file {path}: {e}") from e
     try:
         center = np.array(doc["center"], dtype=float)
-        eps = doc["epsilon"]
+        eps = np.asarray(doc["epsilon"], dtype=float)
+        clip = tuple(doc["clip"]) if doc.get("clip") is not None else None
+        T = linf_ball(center, eps, clip)
+        if "constraints" in doc:
+            S = OutputSpec(C=np.array(doc["constraints"]["C"], dtype=float),
+                           d=np.array(doc["constraints"]["d"], dtype=float))
+        elif "true_class" in doc:
+            if n_outputs is None:
+                raise FileFormatError("true_class spec needs the network output size")
+            S = argmax_spec(int(doc["true_class"]), n_outputs)
+        else:
+            raise FileFormatError(f"spec file {path} needs true_class or constraints")
     except KeyError as e:
         raise FileFormatError(f"spec file {path} missing field {e}") from e
-    clip = tuple(doc["clip"]) if "clip" in doc and doc["clip"] is not None else None
-    T = linf_ball(center, np.asarray(eps, dtype=float), clip)
+    except (ShapeError, FileFormatError):
+        raise
+    except ValueError as e:
+        raise FileFormatError(f"bad spec in {path}: {e}") from e
     meta = {k: doc[k] for k in ("true_class", "task", "sigma_floor", "sigma_ceil")
             if k in doc}
-    if "constraints" in doc:
-        S = OutputSpec(C=np.array(doc["constraints"]["C"], dtype=float),
-                       d=np.array(doc["constraints"]["d"], dtype=float))
-    elif "true_class" in doc:
-        if n_outputs is None:
-            raise FileFormatError("true_class spec needs the network output size")
-        S = argmax_spec(int(doc["true_class"]), n_outputs)
-    else:
-        raise FileFormatError(f"spec file {path} needs true_class or constraints")
     return T, S, meta
 
 

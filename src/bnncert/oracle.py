@@ -12,8 +12,8 @@ import numpy as np
 from scipy.stats import beta
 
 from . import attack as attack_mod
-from .net import Network, forward_batch, forward_probes, softmax
-from .posterior import GaussianPosterior, Posterior, SamplePosterior
+from .net import Network, forward_batch, forward_probes
+from .posterior import GaussianPosterior, Posterior
 from .spec import InputBox, OutputSpec
 
 _CHUNK = 2048
@@ -34,9 +34,9 @@ def _probe_points(net: Network, T: InputBox, w_attack: np.ndarray,
     rng = np.random.default_rng(seed)
     pts = [T.center, T.lower, T.upper]
     pts.extend(T.sample(rng, max(n_grid - 3, 0)))
-    acfg = attack_mod.AttackConfig(objective=attack_mod.SpecViolation(S), seed=seed)
+    acfg = attack_mod.AttackConfig(seed=seed)
     for w in np.atleast_2d(w_attack):
-        pts.append(attack_mod.pgd(net, w, T, acfg))
+        pts.append(attack_mod.pgd(net, w, T, S, acfg))
     return np.stack(pts)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .certify import Certificate, CertifyConfig, psafe_lower, psafe_upper
 from .net import Network
 from .posterior import Posterior
-from .spec import InputBox, OutputSpec, linf_ball
+from .spec import OutputSpec, linf_ball
 
 log = logging.getLogger("bnncert.search")
 

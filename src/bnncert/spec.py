@@ -66,6 +66,8 @@ class OutputSpec:
         object.__setattr__(self, "d", d)
         if C.shape[0] != d.shape[0]:
             raise ShapeError(f"C has {C.shape[0]} rows but d has {d.shape[0]} entries")
+        if not (np.all(np.isfinite(C)) and np.all(np.isfinite(d))):
+            raise ValueError("spec constraints C and d must be finite")
 
     @property
     def n_outputs(self) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Network, backprop, forward, forward_batch, softmax
+from .net import Network, backprop, forward_trace, softmax
 from .posterior import GaussianPosterior, SamplePosterior
 
 log = logging.getLogger("bnncert.trainer")
@@ -66,26 +66,29 @@ def _softplus_inv(y):
     return np.log(np.expm1(y))
 
 
-def _loss_and_logit_grad(y_pred, y_true, cfg: TrainConfig):
-    """Negative log-likelihood of one example and its gradient in the logits."""
+def _nll_and_grad(net: Network, w, X, Y, cfg: TrainConfig):
+    """Summed negative log-likelihood of the rows of (X, Y) at weights w and
+    its gradient in w, from one forward pass and one batched backprop."""
+    logits = forward_trace(net, w, X)[1][-1]
     if cfg.likelihood == "categorical":
-        p = softmax(y_pred)
-        c = int(y_true)
-        nll = -np.log(max(p[c], 1e-300))
-        g = p.copy()
-        g[c] -= 1.0
-        return nll, g
-    resid = y_pred - np.atleast_1d(np.asarray(y_true, dtype=float))
-    nll = 0.5 * float(resid @ resid) / cfg.noise_var
-    return nll, resid / cfg.noise_var
+        g = softmax(logits)
+        rows = np.arange(logits.shape[0])
+        c = np.asarray(Y, dtype=int).reshape(-1)
+        nll = -np.sum(np.log(np.maximum(g[rows, c], 1e-300)))
+        g[rows, c] -= 1.0
+    else:
+        resid = logits - np.asarray(Y, dtype=float).reshape(logits.shape)
+        nll = 0.5 * np.sum(resid * resid) / cfg.noise_var
+        g = resid / cfg.noise_var
+    _, gw = backprop(net, w, X, g)
+    return float(nll), gw
 
 
 def elbo(net: Network, X, Y, mean, raw_var, cfg: TrainConfig, rng) -> float:
     """One-sample ELBO estimate on the given data, used for monitoring."""
     var = _softplus(raw_var)
     w = mean + np.sqrt(var) * rng.standard_normal(mean.shape[0])
-    nll = sum(_loss_and_logit_grad(forward(net, w, x), y, cfg)[0]
-              for x, y in zip(X, Y))
+    nll = _nll_and_grad(net, w, X, Y, cfg)[0]
     kl = 0.5 * np.sum(var / cfg.prior_variance
                       + mean ** 2 / cfg.prior_variance
                       - 1.0 + np.log(cfg.prior_variance) - np.log(var))
@@ -102,6 +105,7 @@ def fit_vi(net: Network, dataset, cfg: TrainConfig, seed: int = 0) -> GaussianPo
     """
     X, Y = dataset
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.asarray(Y)
     if X.shape[0] == 0:
         raise ValueError("dataset must be nonempty")
     n_data = X.shape[0]
@@ -124,14 +128,7 @@ def fit_vi(net: Network, dataset, cfg: TrainConfig, seed: int = 0) -> GaussianPo
             noise = rng.standard_normal(mean.shape[0])
             w = mean + std * noise
 
-            g_w = np.zeros_like(mean)
-            nll = 0.0
-            for i in idx:
-                y_pred = forward(net, w, X[i])
-                loss_i, g_logits = _loss_and_logit_grad(y_pred, Y[i], cfg)
-                nll += loss_i
-                _, gw = backprop(net, w, X[i], g_logits)
-                g_w += gw
+            nll, g_w = _nll_and_grad(net, w, X[idx], Y[idx], cfg)
             scale = n_data / len(idx)
             g_w *= scale
             nll *= scale
@@ -161,15 +158,9 @@ def fit_vi(net: Network, dataset, cfg: TrainConfig, seed: int = 0) -> GaussianPo
 
 def _log_posterior_and_grad(net, X, Y, w, cfg_like, prior_variance):
     """Unnormalized log posterior and gradient for HMC."""
-    logp = -0.5 * float(w @ w) / prior_variance
-    g = -w / prior_variance
-    for x, y in zip(X, Y):
-        y_pred = forward(net, w, x)
-        nll, g_logits = _loss_and_logit_grad(y_pred, y, cfg_like)
-        logp -= nll
-        _, gw = backprop(net, w, x, g_logits)
-        g -= gw
-    return logp, g
+    nll, gw = _nll_and_grad(net, w, X, Y, cfg_like)
+    return (-0.5 * float(w @ w) / prior_variance - nll,
+            -w / prior_variance - gw)
 
 
 def sample_hmc(net: Network, dataset, cfg: HmcConfig, seed: int = 0,

@@ -3,58 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnncert.attack import (AttackConfig, ClassProbability, Objective,
-                            OutputValue, SpecViolation, grad, pgd, untargeted)
-from bnncert.net import Network, forward, softmax
-from bnncert.spec import InputBox, argmax_spec
+from bnncert.attack import AttackConfig, pgd
+from bnncert.net import Network, forward
+from bnncert.spec import InputBox, OutputSpec, argmax_spec
 
 from conftest import random_net
 
 
-class CrossEntropy(Objective):
-    """Softmax cross-entropy against a fixed label, for the gradient oracle."""
-
-    def __init__(self, label):
-        self.label = label
-
-    def value(self, y):
-        p = softmax(y)
-        return -float(np.log(p[self.label]))
-
-    def grad_logits(self, y):
-        g = softmax(y)
-        g[self.label] -= 1.0
-        return g
-
-
-def test_grad_linear_net_constant():
-    net = Network.dense([1, 1])
-    w = np.array([2.0, 0.0])  # y = 2x
-    for x in (-1.0, 0.0, 3.0):
-        g = grad(net, w, np.array([x]), OutputValue(0))
-        assert g == pytest.approx([2.0])
-
-
-def test_grad_tanh_finite_differences(rng):
-    net = Network.dense([3, 5, 2], activation="tanh")
-    w = rng.normal(size=net.n_weights)
-    x = rng.normal(size=3)
-    obj = ClassProbability(1)
-    g = grad(net, w, x, obj)
-    eps = 1e-6
-    for i in range(3):
-        e = np.zeros(3); e[i] = eps
-        fd = (obj.value(forward(net, w, x + e))
-              - obj.value(forward(net, w, x - e))) / (2 * eps)
-        assert fd == pytest.approx(g[i], abs=max(1e-5, 1e-3 * abs(g[i])))
-
-
-def test_grad_cross_entropy_identity():
-    # at uniform prediction the CE logit gradient is p - onehot
-    net = Network.dense([3, 3])
-    w = net.pack([(np.eye(3), np.zeros(3))])
-    g = grad(net, w, np.zeros(3), CrossEntropy(0))
-    assert g == pytest.approx([1 / 3 - 1, 1 / 3, 1 / 3], abs=1e-12)
+def margin(net, w, x, S):
+    """The spec margin PGD minimises; negative iff x violates S."""
+    return float(np.min(S.C @ forward(net, w, x) + S.d))
 
 
 class TestPgd:
@@ -62,14 +20,15 @@ class TestPgd:
         net = Network.dense([2, 2])
         w = np.arange(6, dtype=float)
         T = InputBox(lower=np.array([0.3, -0.1]), upper=np.array([0.3, -0.1]))
-        x = pgd(net, w, T, AttackConfig(objective=untargeted(0)))
+        x = pgd(net, w, T, argmax_spec(0, 2), AttackConfig())
         assert np.array_equal(x, T.center)
 
     def test_monotone_objective_hits_boundary(self):
         net = Network.dense([1, 1])
         w = np.array([2.0, 0.5])
         T = InputBox(lower=np.array([-1.0]), upper=np.array([3.0]))
-        x = pgd(net, w, T, AttackConfig(objective=OutputValue(0), iterations=30))
+        S = OutputSpec(C=[[1.0]], d=[0.0])     # margin y = 2x + 0.5
+        x = pgd(net, w, T, S, AttackConfig(iterations=30))
         assert x == pytest.approx([-1.0], abs=1e-9)
 
     def test_never_worse_than_center(self, rng):
@@ -78,10 +37,9 @@ class TestPgd:
             w = rng.normal(size=net.n_weights)
             c = rng.uniform(-0.5, 0.5, net.input_dim)
             T = InputBox(lower=c - 0.2, upper=c + 0.2)
-            obj = SpecViolation(argmax_spec(0, 3))
-            x = pgd(net, w, T, AttackConfig(objective=obj))
-            assert (obj.value(forward(net, w, x))
-                    <= obj.value(forward(net, w, T.center)) + 1e-12)
+            S = argmax_spec(0, 3)
+            x = pgd(net, w, T, S, AttackConfig())
+            assert margin(net, w, x, S) <= margin(net, w, T.center, S) + 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -92,7 +50,8 @@ class TestPgd:
         c = rng.normal(0, 0.5, net.input_dim)
         T = InputBox(lower=c - rng.uniform(0, 0.5, net.input_dim),
                      upper=c + rng.uniform(0, 0.5, net.input_dim))
-        x = pgd(net, w, T, AttackConfig(objective=untargeted(0), seed=seed))
+        S = argmax_spec(0, net.output_dim)
+        x = pgd(net, w, T, S, AttackConfig(seed=seed))
         assert np.all(x >= T.lower) and np.all(x <= T.upper)
 
     def test_more_restarts_never_worse(self, rng):
@@ -100,18 +59,12 @@ class TestPgd:
         w = rng.normal(size=net.n_weights)
         T = InputBox(lower=np.full(net.input_dim, -0.5),
                      upper=np.full(net.input_dim, 0.5))
-        obj = untargeted(0)
+        S = argmax_spec(0, 2)
         vals = []
         for restarts in (1, 3, 6):
-            x = pgd(net, w, T, AttackConfig(objective=obj, restarts=restarts))
-            vals.append(obj.value(forward(net, w, x)))
+            x = pgd(net, w, T, S, AttackConfig(restarts=restarts))
+            vals.append(margin(net, w, x, S))
         assert vals[1] <= vals[0] + 1e-12 and vals[2] <= vals[1] + 1e-12
-
-    def test_requires_objective(self):
-        net = Network.dense([1, 1])
-        T = InputBox(lower=np.array([0.0]), upper=np.array([1.0]))
-        with pytest.raises(ValueError):
-            pgd(net, np.zeros(2), T, AttackConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -316,3 +316,14 @@ class TestBonferroniDecision:
         task = Task.regression(0)
         assert dsafe_lower(net, post, T, c, task).value <= -4.0
         assert dsafe_upper(net, post, T, c, task).value >= -4.0
+
+    def test_repeated_atom_is_priced_once(self):
+        # four draws of the one atom are one box of mass 1, so both bounds
+        # are exact; pricing the four copies at depth 2 gives 4 - 6 < 0
+        net = Network.dense([1, 1])
+        post = atom_posterior(np.array([0.0, -4.0]))    # y = -4 everywhere
+        T = InputBox.point(np.zeros(1))
+        c = cfg(num_samples=4, bonferroni=2, sigma_floor=-5.0, sigma_ceil=5.0)
+        task = Task.regression(0)
+        assert dsafe_lower(net, post, T, c, task).value == -4.0
+        assert dsafe_upper(net, post, T, c, task).value == -4.0

@@ -211,6 +211,31 @@ class TestValidateCommand:
         assert all(c["ok"] for c in doc["cases"])
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("certify", {"center": [float("nan"), 0.0], "epsilon": 0.1,
+                 "true_class": 0}),
+    ("certify", {"center": [0.0, 0.0], "epsilon": float("nan"),
+                 "true_class": 0}),
+    ("certify", {"center": [0.0, 0.0], "epsilon": 0.1,
+                 "constraints": {"C": [[1.0, float("nan")]], "d": [0.0]}}),
+    ("sweep", {"grid": [[-1, 1, float("nan")], [-1, 1, 1.0]],
+               "true_class": 0}),
+    ("sweep", {"grid": [[-1, float("inf"), 1.0], [-1, 1, 1.0]],
+               "true_class": 0}),
+], ids=["nan-center", "nan-epsilon", "nan-constraint", "nan-width",
+        "inf-bound"])
+def test_non_finite_spec_exit_2(capsys, safe_posterior_file, tmp_path,
+                                command, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    spec = ["--spec", str(bad)] if command == "certify" else \
+        ["--spec", "unused", "--sweep-spec", str(bad)]
+    code, out = run(capsys, command, "--posterior", safe_posterior_file,
+                    *spec)
+    assert code == 2
+    assert "finite" in out.err
+
+
 def test_log_env_var(capsys, monkeypatch, safe_posterior_file, spec_file):
     monkeypatch.setenv("BNNCERT_LOG", "DEBUG")
     code, _ = run(capsys, "certify", "--posterior", safe_posterior_file,

@@ -131,3 +131,17 @@ def test_backprop_matches_finite_differences():
         e = np.zeros(net.n_weights); e[i] = eps
         fd = (f(w + e, x) - f(w - e, x)) / (2 * eps)
         assert fd == pytest.approx(gw[i], abs=1e-5)
+
+
+def test_backprop_batch_matches_rows():
+    rng = np.random.default_rng(11)
+    net = Network.dense([3, 6, 4, 2], activation="tanh")
+    w = rng.normal(size=net.n_weights)
+    X = rng.normal(size=(7, 3))
+    dY = rng.normal(size=(7, 2))
+    gx, gw = backprop(net, w, X, dY)
+    rows = [backprop(net, w, x, dy) for x, dy in zip(X, dY)]
+    assert gx.shape == X.shape
+    for i, (gx_i, _) in enumerate(rows):
+        assert np.allclose(gx[i], gx_i, rtol=0, atol=1e-12)
+    assert np.allclose(gw, sum(gw_i for _, gw_i in rows), rtol=0, atol=1e-12)

@@ -1,10 +1,49 @@
 import numpy as np
 import pytest
 
-from bnncert.net import Network, forward_batch
+from bnncert.net import Network, backprop, forward, forward_batch, softmax
 from bnncert.posterior import GaussianPosterior, SamplePosterior
-from bnncert.trainer import (HmcConfig, TrainConfig, elbo, fit_vi, make_blobs,
-                             make_cubic, make_hcas_like, sample_hmc)
+from bnncert.trainer import (HmcConfig, TrainConfig, _nll_and_grad, elbo,
+                             fit_vi, make_blobs, make_cubic, make_hcas_like,
+                             sample_hmc)
+
+
+def row_by_row_nll_and_grad(net, w, X, Y, cfg):
+    """Reference for the batched likelihood: one forward and one backprop
+    per example."""
+    nll, gw = 0.0, np.zeros(net.n_weights)
+    for x, y in zip(X, Y):
+        out = forward(net, w, x)
+        if cfg.likelihood == "categorical":
+            g = softmax(out)
+            nll -= np.log(max(g[int(y)], 1e-300))
+            g[int(y)] -= 1.0
+        else:
+            resid = out - np.atleast_1d(y)
+            nll += 0.5 * float(resid @ resid) / cfg.noise_var
+            g = resid / cfg.noise_var
+        gw += backprop(net, w, x, g)[1]
+    return nll, gw
+
+
+@pytest.mark.parametrize("likelihood,n", [("categorical", 50),
+                                          ("gaussian", 50),
+                                          ("categorical", 0),
+                                          ("gaussian", 0)])
+def test_batched_likelihood_matches_row_by_row(likelihood, n):
+    rng = np.random.default_rng(4)
+    if likelihood == "categorical":
+        net, (X, Y) = Network.dense([2, 6, 2], "tanh"), make_blobs(max(n, 2))
+    else:
+        net, (X, Y) = Network.dense([1, 6, 1], "tanh"), make_cubic(max(n, 2))
+    X, Y = X[:n], Y[:n]
+    cfg = TrainConfig(likelihood=likelihood)
+    w = rng.normal(size=net.n_weights)
+    nll, gw = _nll_and_grad(net, w, X, Y, cfg)
+    ref_nll, ref_gw = row_by_row_nll_and_grad(net, w, X, Y, cfg)
+    assert nll == pytest.approx(ref_nll, rel=1e-12, abs=0.0)
+    assert np.abs(gw - ref_gw).max(initial=0) <= \
+        1e-12 * np.abs(ref_gw).max(initial=0)
 
 
 class TestFitVi:

@@ -21,8 +21,8 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if self.iterations < 1 or self.restarts < 1:
+            raise ValueError("iterations and restarts must be >= 1")
 
 
 def pgd(net: Network, w: np.ndarray, T: InputBox, S: OutputSpec,
@@ -31,29 +31,33 @@ def pgd(net: Network, w: np.ndarray, T: InputBox, S: OutputSpec,
     min(C y + d), which is negative exactly where the point violates S;
     returns the iterate with the smallest margin.
 
-    The search starts at the box center plus seeded random restarts; every
-    step is projected back into T, so the result is always a member of T and
-    never worse than the starting center. Each iterate is evaluated once:
-    its margins pick the constraint row that the next step descends.
+    The box center and seeded random starts descend together as one batch,
+    so each step is one backprop call and the last iterates take one final
+    forward pass. Every step is projected back into T, so the result is
+    always a member of T and never worse than the center. Each restart keeps
+    its first iterate strictly below the center's margin and below its own
+    earlier iterates; ties between restarts go to the earliest one.
     """
-    def margins(x):
-        return S.C @ forward(net, w, x) + S.d
+    def spec_margin(y):
+        m = (S.C @ y[..., None])[..., 0] + S.d
+        j = np.argmin(m, axis=-1)
+        return m[np.arange(len(m)), j], S.C[j]
 
     width = np.max(T.width)
     step = 2.5 * width / acfg.iterations if width > 0 else 0.0
     rng = np.random.default_rng(acfg.seed)
-    starts = [T.center] + [rng.uniform(T.lower, T.upper)
-                           for _ in range(acfg.restarts - 1)]
+    x = np.stack([T.center] + [rng.uniform(T.lower, T.upper)
+                               for _ in range(acfg.restarts - 1)])
 
-    center_m = margins(T.center)
-    best_x, best_val = T.center, np.min(center_m)
-    for k, x in enumerate(starts):
-        m = center_m if k == 0 else margins(x)
-        for _ in range(acfg.iterations):
-            g, _ = backprop(net, w, x, S.C[np.argmin(m)])
-            x = T.clip(x - step * np.sign(g))
-            m = margins(x)
-            val = np.min(m)
-            if val < best_val:
-                best_val, best_x = val, x
-    return best_x
+    m, g, _ = backprop(net, w, x, spec_margin)
+    best_m = np.full(len(x), m[0])
+    best_x = np.broadcast_to(T.center, x.shape).copy()
+    for k in range(acfg.iterations):
+        x = T.clip(x - step * np.sign(g))
+        if k + 1 < acfg.iterations:
+            m, g, _ = backprop(net, w, x, spec_margin)
+        else:
+            m = spec_margin(forward(net, w, x))[0]
+        better = m < best_m
+        best_m[better], best_x[better] = m[better], x[better]
+    return best_x[np.argmin(best_m)]

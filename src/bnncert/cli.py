@@ -154,9 +154,15 @@ def cmd_certify(args) -> int:
 
 def _grid_cells(grid):
     """Yield (cell_id, lower, upper) covering [min, max) per dimension."""
+    try:
+        grid = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise io_mod.FileFormatError(f"bad grid: {e}") from e
+    if grid.ndim != 2 or grid.shape[1] != 3:
+        raise io_mod.FileFormatError("grid needs [min, max, cell_width] rows")
     axes = []
     for lo, hi, width in grid:
-        if not all(map(math.isfinite, (lo, hi, width))) or width <= 0 or hi <= lo:
+        if not np.all(np.isfinite((lo, hi, width))) or width <= 0 or hi <= lo:
             raise io_mod.FileFormatError("grid needs finite lo < hi and "
                                          "cell_width > 0")
         # Rounding can make arange add a last cell that starts at hi, as
@@ -173,8 +179,16 @@ def _grid_cells(grid):
 def cmd_sweep(args) -> int:
     net, post = io_mod.load_posterior(args.posterior)
     doc = json.loads(open(args.sweep_spec).read())
-    if "grid" not in doc:
+    if not isinstance(doc, dict) or "grid" not in doc:
         raise io_mod.FileFormatError("sweep spec needs a 'grid' field")
+    if "true_class" in doc:
+        try:
+            label = int(doc["true_class"])
+        except (TypeError, ValueError) as e:
+            raise io_mod.FileFormatError(f"bad true_class: {e}") from e
+    elif doc.get("label_rule") != "hcas":
+        raise io_mod.FileFormatError("sweep spec needs true_class or "
+                                     "label_rule 'hcas'")
     cfg = _certify_config(args)
     rows = []
     counts = {"safe": 0, "unsafe": 0, "uncertifiable": 0}
@@ -183,13 +197,8 @@ def cmd_sweep(args) -> int:
         if T.dim != net.input_dim:
             raise ShapeError(f"grid cell has {T.dim} dims, network expects "
                              f"{net.input_dim}")
-        if "true_class" in doc:
-            label = int(doc["true_class"])
-        elif doc.get("label_rule") == "hcas":
+        if "true_class" not in doc:
             label = int(trainer.hcas_label(T.center))
-        else:
-            raise io_mod.FileFormatError("sweep spec needs true_class or "
-                                         "label_rule 'hcas'")
         S = argmax_spec(label, net.output_dim)
         try:
             pl = certify_mod.psafe_lower(net, post, T, S, cfg).value

@@ -78,7 +78,7 @@ def load_posterior(path) -> tuple[Network, Posterior]:
         raise FileFormatError(f"posterior file {path} missing field {e}") from e
     except (ShapeError, FileFormatError):
         raise
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise FileFormatError(f"bad posterior in {path}: {e}") from e
     if post.n_weights != net.n_weights:
         raise ShapeError(f"posterior has {post.n_weights} weights but the "
@@ -121,7 +121,7 @@ def load_spec(path, n_outputs: int | None = None):
         raise FileFormatError(f"spec file {path} missing field {e}") from e
     except (ShapeError, FileFormatError):
         raise
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise FileFormatError(f"bad spec in {path}: {e}") from e
     meta = {k: doc[k] for k in ("true_class", "task", "sigma_floor", "sigma_ceil")
             if k in doc}

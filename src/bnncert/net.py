@@ -144,89 +144,55 @@ def activate_deriv(kind: str, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def forward(net: Network, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network at a fixed weight vector; returns final logits."""
+def forward_trace(net: Network, w: np.ndarray, x: np.ndarray):
+    """Evaluate the network, keeping pre- and post-activations for backprop.
+
+    Leading axes of ``w`` (..., n_w) and ``x`` (..., n_in) broadcast against
+    each other: one weight on a batch of inputs, weight i on input i, or
+    ``w[:, None, :]`` on every probe. Each row is computed as the
+    matrix-vector product ``W @ z``, so a row's result does not depend on
+    the batch it travels in.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != net.input_dim:
         raise ShapeError(f"input has {x.shape[-1]} entries, layer 0 expects {net.input_dim}")
-    z = x
-    for k, (W, b) in enumerate(net.unpack(w)):
-        zeta = W @ z + b
-        if k < len(net.layers) - 1:
-            z = activate(net.layers[k].activation, zeta)
-        else:
-            z = zeta
-    return z
-
-
-def forward_batch(net: Network, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Paired vectorized evaluation: weight i is applied to input i.
-
-    w: (D, n_w), x: (D, n_in) -> logits (D, n_out).
-    """
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    z = np.atleast_2d(np.asarray(x, dtype=float))
-    for k, (W, b) in enumerate(net.unpack(w)):
-        zeta = np.einsum("drc,dc->dr", W, z) + b
-        z = activate(net.layers[k].activation, zeta) if k < len(net.layers) - 1 else zeta
-    return z
-
-
-def forward_probes(net: Network, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate every weight vector on every probe input.
-
-    w: (D, n_w), x: (P, n_in) -> logits (D, P, n_out).
-    """
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    z = np.broadcast_to(x, (w.shape[0], *x.shape))
-    for k, (W, b) in enumerate(net.unpack(w)):
-        zeta = np.einsum("drc,dpc->dpr", W, z) + b[:, None, :]
-        z = activate(net.layers[k].activation, zeta) if k < len(net.layers) - 1 else zeta
-    return z
-
-
-def forward_trace(net: Network, w: np.ndarray, x: np.ndarray):
-    """Forward pass keeping pre- and post-activations, for backprop."""
-    x = np.asarray(x, dtype=float)
     zetas, zs = [], [x]
     z = x
     for k, (W, b) in enumerate(net.unpack(w)):
-        zeta = z @ W.swapaxes(-1, -2) + b if z.ndim > 1 else W @ z + b
+        zeta = (W @ z[..., None])[..., 0] + b
         zetas.append(zeta)
-        if k < len(net.layers) - 1:
-            z = activate(net.layers[k].activation, zeta)
-        else:
-            z = zeta
+        z = activate(net.layers[k].activation, zeta) if k < len(net.layers) - 1 else zeta
         zs.append(z)
     return zetas, zs
 
 
-def backprop(net: Network, w: np.ndarray, x: np.ndarray, dy: np.ndarray):
-    """Gradients of a scalar loss with output-gradient ``dy``.
+def forward(net: Network, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Final logits of ``forward_trace``, with the same broadcasting."""
+    return forward_trace(net, w, x)[1][-1]
 
-    Accepts a single input (n_in,) or a batch (B, n_in) with matching dy.
-    Returns (grad_x, grad_w_flat); batch contributions are summed into
-    grad_w_flat while grad_x keeps the batch axis.
+
+forward_batch = forward
+
+
+def backprop(net: Network, w: np.ndarray, x: np.ndarray, loss):
+    """A loss of the logits and its gradients, from one forward pass.
+
+    ``loss(logits)`` returns ``(value, dvalue/dlogits)``. ``x`` is one
+    input (n_in,) or a batch (B, n_in) at the single weight vector ``w``.
+    Returns (value, grad_x, grad_w): grad_x is shaped like x, and grad_w
+    sums the contributions of the batch rows.
     """
-    single = np.asarray(x).ndim == 1
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    dY = np.atleast_2d(np.asarray(dy, dtype=float))
-    zetas, zs = forward_trace(net, w, X)
+    zetas, zs = forward_trace(net, w, x)
+    value, delta = loss(zs[-1])
     params = net.unpack(w)
-    delta = dY
     grads = [None] * len(net.layers)
     for k in range(len(net.layers) - 1, -1, -1):
-        W, _ = params[k]
-        gW = delta.T @ zs[k]
-        gb = delta.sum(axis=0)
-        grads[k] = (gW, gb)
-        delta = delta @ W
+        rows, z = delta.reshape(-1, delta.shape[-1]), zs[k].reshape(-1, zs[k].shape[-1])
+        grads[k] = (rows.T @ z, rows.sum(axis=0))
+        delta = delta @ params[k][0]
         if k > 0:
             delta = delta * activate_deriv(net.layers[k - 1].activation, zetas[k - 1])
-    grad_x = delta
-    grad_w = net.pack(grads)
-    return (grad_x[0] if single else grad_x), grad_w
+    return value, delta, net.pack(grads)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

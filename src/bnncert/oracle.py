@@ -12,7 +12,7 @@ import numpy as np
 from scipy.stats import beta
 
 from . import attack as attack_mod
-from .net import Network, forward_batch, forward_probes
+from .net import Network, forward
 from .posterior import GaussianPosterior, Posterior
 from .spec import InputBox, OutputSpec
 
@@ -60,7 +60,7 @@ def psafe_estimate(net: Network, posterior: Posterior, T: InputBox,
     safe = np.zeros(n_weights, dtype=bool)
     for start in range(0, n_weights, _CHUNK):
         chunk = ws[start:start + _CHUNK]
-        ys = forward_probes(net, chunk, probes)     # (chunk, probes, out)
+        ys = forward(net, chunk[:, None, :], probes)   # (chunk, probes, out)
         safe[start:start + chunk.shape[0]] = S.satisfied(ys).all(axis=1)
     k = int(safe.sum())
     est = k / n_weights
@@ -81,7 +81,7 @@ def predictive_mean_estimate(net: Network, posterior: Posterior, x: np.ndarray,
     outs = []
     for start in range(0, n_weights, _CHUNK):
         chunk = ws[start:start + _CHUNK]
-        ys = forward_batch(net, chunk, np.tile(x, (chunk.shape[0], 1)))
+        ys = forward(net, chunk, x)
         if kind == "classification":
             shift = ys - ys.max(axis=1, keepdims=True)
             e = np.exp(shift)

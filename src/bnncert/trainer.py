@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Network, backprop, forward_trace, softmax
+from .net import Network, backprop, softmax
 from .posterior import GaussianPosterior, SamplePosterior
 
 log = logging.getLogger("bnncert.trainer")
@@ -68,20 +68,20 @@ def _softplus_inv(y):
 
 def _nll_and_grad(net: Network, w, X, Y, cfg: TrainConfig):
     """Summed negative log-likelihood of the rows of (X, Y) at weights w and
-    its gradient in w, from one forward pass and one batched backprop."""
-    logits = forward_trace(net, w, X)[1][-1]
-    if cfg.likelihood == "categorical":
-        g = softmax(logits)
-        rows = np.arange(logits.shape[0])
-        c = np.asarray(Y, dtype=int).reshape(-1)
-        nll = -np.sum(np.log(np.maximum(g[rows, c], 1e-300)))
-        g[rows, c] -= 1.0
-    else:
+    its gradient in w, from one batched backprop."""
+    def nll(logits):
+        if cfg.likelihood == "categorical":
+            g = softmax(logits)
+            rows = np.arange(logits.shape[0])
+            c = np.asarray(Y, dtype=int).reshape(-1)
+            value = -np.sum(np.log(np.maximum(g[rows, c], 1e-300)))
+            g[rows, c] -= 1.0
+            return value, g
         resid = logits - np.asarray(Y, dtype=float).reshape(logits.shape)
-        nll = 0.5 * np.sum(resid * resid) / cfg.noise_var
-        g = resid / cfg.noise_var
-    _, gw = backprop(net, w, X, g)
-    return float(nll), gw
+        return 0.5 * np.sum(resid * resid) / cfg.noise_var, resid / cfg.noise_var
+
+    value, _, gw = backprop(net, w, X, nll)
+    return float(value), gw
 
 
 def elbo(net: Network, X, Y, mean, raw_var, cfg: TrainConfig, rng) -> float:

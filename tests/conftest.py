@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bnncert.net import Network, forward_batch
+from bnncert.net import Network, forward
 from bnncert.posterior import WeightBox
 from bnncert.spec import InputBox
 
@@ -36,7 +36,7 @@ def count_violations(net, T, R, yL, yU, n_draws, rng, tol=0.0, chunk=10_000):
         m = min(chunk, left)
         xs = rng.uniform(T.lower, T.upper, size=(m, net.input_dim))
         ws = rng.uniform(R.lower, R.upper, size=(m, net.n_weights))
-        ys = forward_batch(net, ws, xs)
+        ys = forward(net, ws, xs)
         bad += int(np.sum(np.any((ys < yL - tol) | (ys > yU + tol), axis=1)))
         left -= m
     return bad

@@ -16,7 +16,7 @@ from scipy.stats import norm
 from bnncert.certify import (CertifyConfig, Task, dsafe_lower, dsafe_upper,
                              psafe_lower, psafe_upper)
 from bnncert.cli import main as cli_main
-from bnncert.net import Network, forward, forward_probes
+from bnncert.net import Network, forward
 from bnncert.oracle import draw_weights, psafe_estimate
 from bnncert.posterior import (GaussianPosterior, SamplePosterior, WeightBox,
                                bonferroni_bounds, box_mass)
@@ -78,7 +78,7 @@ def _predictive_mean_stats(net, post, probes, n_weights, seed, chunk=2048):
     while done < n_weights:
         m = min(chunk, n_weights - done)
         ws = draw_weights(post, m, (seed, done))
-        ys = forward_probes(net, ws, probes)            # (m, P, out)
+        ys = forward(net, ws[:, None, :], probes)       # (m, P, out)
         shift = ys - ys.max(axis=2, keepdims=True)
         e = np.exp(shift)
         p = e / e.sum(axis=2, keepdims=True)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnncert import attack
 from bnncert.attack import AttackConfig, pgd
 from bnncert.net import Network, forward
 from bnncert.spec import InputBox, OutputSpec, argmax_spec
@@ -69,3 +70,27 @@ class TestPgd:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AttackConfig(iterations=0)
+        with pytest.raises(ValueError):
+            AttackConfig(restarts=0)
+
+    @pytest.mark.parametrize("restarts", [1, 3, 6])
+    def test_one_network_pass_per_step(self, monkeypatch, rng, restarts):
+        calls = []
+
+        def counted(name):
+            fn = getattr(attack, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("forward", "backprop"):
+            monkeypatch.setattr(attack, name, counted(name))
+        net = random_net(rng, max_width=8, n_out=3)
+        w = rng.normal(size=net.n_weights)
+        T = InputBox(lower=np.full(net.input_dim, -0.5),
+                     upper=np.full(net.input_dim, 0.5))
+        acfg = AttackConfig(iterations=7, restarts=restarts)
+        pgd(net, w, T, argmax_spec(0, 3), acfg)
+        assert calls == ["backprop"] * acfg.iterations + ["forward"]

@@ -236,6 +236,31 @@ def test_non_finite_spec_exit_2(capsys, safe_posterior_file, tmp_path,
     assert "finite" in out.err
 
 
+@pytest.mark.parametrize("command,kind,doc", [
+    ("certify", "spec", {"center": [0.0, 0.0], "epsilon": 0.1,
+                         "true_class": [1]}),
+    ("sweep", "sweep", {"grid": [[-1, 1, 1.0], [-1, 1, 1.0]],
+                        "true_class": [1]}),
+    ("sweep", "sweep", {"grid": [[-1, 1], [-1, 1, 1.0]], "true_class": 0}),
+    ("sweep", "sweep", {"grid": "abc", "true_class": 0}),
+    ("certify", "spec", [0.0, 0.1, 0]),
+    ("certify", "posterior", [[0.0, 1.0]]),
+], ids=["spec-class-list", "sweep-class-list", "grid-row-short",
+        "grid-string", "spec-array", "posterior-array"])
+def test_malformed_types_exit_2(capsys, safe_posterior_file, spec_file,
+                                tmp_path, command, kind, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    files = {"posterior": safe_posterior_file, "spec": spec_file,
+             "sweep": "unused", kind: str(bad)}
+    argv = [command, "--posterior", files["posterior"], "--spec", files["spec"]]
+    if command == "sweep":
+        argv += ["--sweep-spec", files["sweep"]]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out.err.startswith("error: ")
+
+
 def test_log_env_var(capsys, monkeypatch, safe_posterior_file, spec_file):
     monkeypatch.setenv("BNNCERT_LOG", "DEBUG")
     code, _ = run(capsys, "certify", "--posterior", safe_posterior_file,

@@ -1,11 +1,14 @@
-"""Every import in the package modules is used.
+"""Every import in the package modules is used, and every name that the
+bench and the scripts take from the package still exists.
 
-There is no linter in the toolchain, so this stdlib-only check is the gate.
-``__init__.py`` is skipped (its imports are re-exports), and so is
+There is no linter in the toolchain, so these stdlib-only checks are the
+gate. ``__init__.py`` is skipped (its imports are re-exports), and so is
 ``from __future__ import annotations``.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,39 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ROOT = SRC.parent.parent
+CLIENTS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")])
+
+
+def bnncert_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) for every ``from bnncert... import name``."""
+    return [(node.module, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "bnncert"
+            for alias in node.names]
+
+
+def resolves(module: str, name: str) -> bool:
+    """Whether ``from module import name`` would succeed."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    return importlib.util.find_spec(f"{module}.{name}") is not None
+
+
+@pytest.mark.parametrize("path", CLIENTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_client_imports_resolve(path):
+    missing = [f"{m}.{n}" for m, n in bnncert_imports(path.read_text())
+               if not resolves(m, n)]
+    assert missing == []
+
+
+def test_bench_span_targets_exist():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{attr}" for module, attr, *_ in spans.TARGETS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert spans.TARGETS and missing == []

@@ -111,7 +111,28 @@ def test_forward_batch_matches_loop():
     xs = rng.normal(size=(20, 3))
     ys = forward_batch(net, ws, xs)
     for i in range(20):
-        assert np.allclose(ys[i], forward(net, ws[i], xs[i]), atol=1e-12)
+        assert np.array_equal(ys[i], forward(net, ws[i], xs[i]))
+    probes = rng.normal(size=(4, 3))
+    yp = forward(net, ws[:, None, :], probes)
+    assert yp.shape == (20, 4, 2)
+    for i in range(20):
+        for p in range(4):
+            assert np.array_equal(yp[i, p], forward(net, ws[i], probes[p]))
+
+
+def linear_loss(dy):
+    """Loss dy . y summed over rows, with its constant logit gradient."""
+    return lambda y: (float(np.sum(y * dy)), np.broadcast_to(dy, y.shape))
+
+
+def test_backprop_value_is_loss_of_forward():
+    rng = np.random.default_rng(3)
+    net = Network.dense([2, 5, 3], activation="relu")
+    w = rng.normal(size=net.n_weights)
+    X = rng.normal(size=(4, 2))
+    loss = lambda y: (np.min(y, axis=-1), np.ones_like(y))
+    value, _, _ = backprop(net, w, X, loss)
+    assert np.array_equal(value, loss(forward(net, w, X))[0])
 
 
 def test_backprop_matches_finite_differences():
@@ -120,7 +141,7 @@ def test_backprop_matches_finite_differences():
     w = rng.normal(size=net.n_weights)
     x = rng.normal(size=2)
     dy = rng.normal(size=3)
-    gx, gw = backprop(net, w, x, dy)
+    _, gx, gw = backprop(net, w, x, linear_loss(dy))
     f = lambda ww, xx: float(dy @ forward(net, ww, xx))
     eps = 1e-6
     for i in range(2):
@@ -139,9 +160,10 @@ def test_backprop_batch_matches_rows():
     w = rng.normal(size=net.n_weights)
     X = rng.normal(size=(7, 3))
     dY = rng.normal(size=(7, 2))
-    gx, gw = backprop(net, w, X, dY)
-    rows = [backprop(net, w, x, dy) for x, dy in zip(X, dY)]
+    value, gx, gw = backprop(net, w, X, linear_loss(dY))
+    rows = [backprop(net, w, x, linear_loss(dy)) for x, dy in zip(X, dY)]
     assert gx.shape == X.shape
-    for i, (gx_i, _) in enumerate(rows):
+    assert value == pytest.approx(sum(v for v, _, _ in rows), rel=1e-12)
+    for i, (_, gx_i, _) in enumerate(rows):
         assert np.allclose(gx[i], gx_i, rtol=0, atol=1e-12)
-    assert np.allclose(gw, sum(gw_i for _, gw_i in rows), rtol=0, atol=1e-12)
+    assert np.allclose(gw, sum(gw_i for _, _, gw_i in rows), rtol=0, atol=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bnncert.net import Network, backprop, forward, forward_batch, softmax
+from bnncert.net import Network, backprop, forward, softmax
 from bnncert.posterior import GaussianPosterior, SamplePosterior
 from bnncert.trainer import (HmcConfig, TrainConfig, _nll_and_grad, elbo,
                              fit_vi, make_blobs, make_cubic, make_hcas_like,
@@ -22,7 +22,7 @@ def row_by_row_nll_and_grad(net, w, X, Y, cfg):
             resid = out - np.atleast_1d(y)
             nll += 0.5 * float(resid @ resid) / cfg.noise_var
             g = resid / cfg.noise_var
-        gw += backprop(net, w, x, g)[1]
+        gw += backprop(net, w, x, lambda y: (0.0, g))[2]
     return nll, gw
 
 
@@ -53,7 +53,7 @@ class TestFitVi:
         post = fit_vi(net, (X, Y), TrainConfig(epochs=60, learning_rate=0.02),
                       seed=0)
         Xt, Yt = make_blobs(200, seed=99)
-        ys = forward_batch(net, np.tile(post.mean, (200, 1)), Xt)
+        ys = forward(net, post.mean, Xt)
         assert (ys.argmax(axis=1) == Yt).mean() >= 0.95
 
     def test_prior_shrinks_mean(self):
@@ -77,8 +77,7 @@ class TestFitVi:
         grid = np.linspace(-1.5, 1.5, 9).reshape(-1, 1)
         rng = np.random.default_rng(0)
         ws = post.mean + post.std * rng.standard_normal((400, net.n_weights))
-        preds = np.stack([forward_batch(net, np.tile(w, (9, 1)), grid)[:, 0]
-                          for w in ws])
+        preds = forward(net, ws[:, None, :], grid)[..., 0]
         sigma = np.sqrt(preds.var(axis=0) + cfg.noise_var)
         err = np.abs(preds.mean(axis=0) - grid[:, 0] ** 3)
         assert np.all(err <= 2 * sigma)

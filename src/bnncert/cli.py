@@ -183,7 +183,7 @@ def cmd_sweep(args) -> int:
         raise io_mod.FileFormatError("sweep spec needs a 'grid' field")
     if "true_class" in doc:
         try:
-            label = int(doc["true_class"])
+            S = argmax_spec(int(doc["true_class"]), net.output_dim)
         except (TypeError, ValueError) as e:
             raise io_mod.FileFormatError(f"bad true_class: {e}") from e
     elif doc.get("label_rule") != "hcas":
@@ -198,8 +198,7 @@ def cmd_sweep(args) -> int:
             raise ShapeError(f"grid cell has {T.dim} dims, network expects "
                              f"{net.input_dim}")
         if "true_class" not in doc:
-            label = int(trainer.hcas_label(T.center))
-        S = argmax_spec(label, net.output_dim)
+            S = argmax_spec(int(trainer.hcas_label(T.center)), net.output_dim)
         try:
             pl = certify_mod.psafe_lower(net, post, T, S, cfg).value
             pu = certify_mod.psafe_upper(net, post, T, S, cfg).value

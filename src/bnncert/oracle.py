@@ -70,24 +70,30 @@ def psafe_estimate(net: Network, posterior: Posterior, T: InputBox,
     return est, float(lo), float(hi)
 
 
+def _predictive_draws(net: Network, posterior: Posterior, pts: np.ndarray,
+                      n_weights: int, seed: int, kind: str) -> np.ndarray:
+    """Outputs at each row of pts under n_weights posterior draws, shape
+    (n_weights, points, n_out): softmax probabilities for classification,
+    raw outputs for regression."""
+    ws = draw_weights(posterior, n_weights, seed)
+    outs = []
+    for start in range(0, n_weights, _CHUNK):
+        ys = forward(net, ws[start:start + _CHUNK, None, :], pts)
+        if kind == "classification":
+            e = np.exp(ys - ys.max(axis=-1, keepdims=True))
+            ys = e / e.sum(axis=-1, keepdims=True)
+        outs.append(ys)
+    return np.concatenate(outs)
+
+
 def predictive_mean_estimate(net: Network, posterior: Posterior, x: np.ndarray,
                              n_weights: int = 2000, seed: int = 0,
                              kind: str = "classification"):
     """MC estimate of the posterior-predictive mean at one point, plus its
     standard error per output: softmax mean for classification, raw output
     mean for regression."""
-    ws = draw_weights(posterior, n_weights, seed)
-    x = np.asarray(x, dtype=float)
-    outs = []
-    for start in range(0, n_weights, _CHUNK):
-        chunk = ws[start:start + _CHUNK]
-        ys = forward(net, chunk, x)
-        if kind == "classification":
-            shift = ys - ys.max(axis=1, keepdims=True)
-            e = np.exp(shift)
-            ys = e / e.sum(axis=1, keepdims=True)
-        outs.append(ys)
-    outs = np.concatenate(outs)
+    pts = np.asarray(x, dtype=float)[None, :]
+    outs = _predictive_draws(net, posterior, pts, n_weights, seed, kind)[:, 0]
     return outs.mean(axis=0), outs.std(axis=0) / np.sqrt(n_weights)
 
 
@@ -95,13 +101,16 @@ def predictive_mean_range_estimate(net: Network, posterior: Posterior,
                                    T: InputBox, n_weights: int = 1000,
                                    n_points: int = 16, seed: int = 0,
                                    kind: str = "classification"):
-    """Empirical (min, max) of the predictive mean over probe points in T.
+    """Empirical (min, max) of the predictive mean over probe points in T,
+    from one set of weight draws shared by every point.
 
     The certified decision bounds must bracket every entry of both arrays.
     """
     rng = np.random.default_rng(seed)
     pts = np.vstack([T.center[None, :], T.lower[None, :], T.upper[None, :],
                      T.sample(rng, n_points)])
-    means = np.stack([predictive_mean_estimate(net, posterior, p, n_weights,
-                                               seed, kind)[0] for p in pts])
+    outs = _predictive_draws(net, posterior, pts, n_weights, seed, kind)
+    # One mean per point, as predictive_mean_estimate takes it: numpy sums
+    # a (draws, 1) column pairwise but a (draws, points, 1) block row by row.
+    means = np.stack([outs[:, j].mean(axis=0) for j in range(len(pts))])
     return means.min(axis=0), means.max(axis=0)

@@ -66,7 +66,7 @@ def ibp_forward(net: Network, T: InputBox, R: WeightBox):
 
 
 # ---------------------------------------------------------------------------
-# Activation relaxations
+# Activation relaxations, elementwise over arrays of intervals
 
 
 def _tanh_sound_intercepts(zl, zu, alpha):
@@ -76,77 +76,73 @@ def _tanh_sound_intercepts(zl, zu, alpha):
     so the tightest sound intercepts can be computed exactly; this makes the
     relaxation sound regardless of how the slope was chosen.
     """
+    inner = (0.0 < alpha) & (alpha < 1.0)
+    with np.errstate(divide="ignore"):     # a tiny alpha puts zstar at inf
+        zstar = np.arctanh(np.sqrt(1.0 - np.where(inner, alpha, 0.5)))
     cands = [zl, zu]
-    if 0.0 < alpha < 1.0:
-        zstar = np.arctanh(np.sqrt(1.0 - alpha))
-        for z in (zstar, -zstar):
-            if zl < z < zu:
-                cands.append(z)
-    vals = [np.tanh(z) - alpha * z for z in cands]
-    return min(vals), max(vals)
+    for z in (zstar, -zstar):
+        # A stationary point outside (zl, zu) falls back to zl, already a candidate.
+        cands.append(np.where(inner & (zl < z) & (z < zu), z, zl))
+    vals = np.stack([np.tanh(z) - alpha * z for z in cands])
+    return vals.min(axis=0), vals.max(axis=0)
 
 
 def _tanh_tangent_slope(anchor, lo, hi, iters=60):
     """Slope of the line through (anchor, tanh(anchor)) tangent to tanh at a
-    point inside [lo, hi], found by bisection on the tangency residual."""
+    point inside [lo, hi], found by bisection on the tangency residual; 0 (a
+    flat line) where the bracket holds no tangent point."""
     def residual(d):
         return np.tanh(d) + (1.0 - np.tanh(d) ** 2) * (anchor - d) - np.tanh(anchor)
 
     a, b = lo, hi
-    fa, fb = residual(a), residual(b)
-    if fa * fb > 0:
-        return None
+    fa = residual(a)
+    bracketed = fa * residual(b) <= 0
     for _ in range(iters):
         m = 0.5 * (a + b)
         fm = residual(m)
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
+        left = fa * fm <= 0
+        a, fa, b = np.where(left, a, m), np.where(left, fa, fm), np.where(left, m, b)
     d = 0.5 * (a + b)
-    return 1.0 - np.tanh(d) ** 2
+    return np.where(bracketed, 1.0 - np.tanh(d) ** 2, 0.0)
 
 
 def _relax_tanh(zl, zu):
-    if zu - zl < 1e-12:
-        mid = 0.5 * (zl + zu)
-        val = np.tanh(mid)
-        return 0.0, val, 0.0, val
-    chord = (np.tanh(zu) - np.tanh(zl)) / (zu - zl)
-    if zl >= 0.0:
-        # Concave region: chord below, tangent above.
-        aL, aU = chord, 1.0 - np.tanh(0.5 * (zl + zu)) ** 2
-    elif zu <= 0.0:
-        # Convex region: tangent below, chord above.
-        aL, aU = 1.0 - np.tanh(0.5 * (zl + zu)) ** 2, chord
-    else:
-        # Mixed sign: tangent through the far endpoint on each side; fall
-        # back to a flat line (constant bound) when no tangent point exists.
-        aU = _tanh_tangent_slope(zl, 0.0, max(zu, 20.0))
-        aL = _tanh_tangent_slope(zu, min(zl, -20.0), 0.0)
-        aU = 0.0 if aU is None else aU
-        aL = 0.0 if aL is None else aL
+    point = zu - zl < 1e-12
+    chord = (np.tanh(zu) - np.tanh(zl)) / np.where(point, 1.0, zu - zl)
+    tangent = 1.0 - np.tanh(0.5 * (zl + zu)) ** 2
+    # Concave region (zl >= 0): chord below, tangent above. Convex region
+    # (zu <= 0): tangent below, chord above. Mixed sign: tangent through the
+    # far endpoint on each side.
+    concave, convex = zl >= 0.0, zu <= 0.0
+    aL = np.where(concave, chord, np.where(
+        convex, tangent, _tanh_tangent_slope(zu, np.minimum(zl, -20.0), 0.0)))
+    aU = np.where(concave, tangent, np.where(
+        convex, chord, _tanh_tangent_slope(zl, 0.0, np.maximum(zu, 20.0))))
     bL, _ = _tanh_sound_intercepts(zl, zu, aL)
     _, bU = _tanh_sound_intercepts(zl, zu, aU)
-    return aL, bL, aU, bU
+    val = np.tanh(0.5 * (zl + zu))
+    return (np.where(point, 0.0, aL), np.where(point, val, bL),
+            np.where(point, 0.0, aU), np.where(point, val, bU))
 
 
-def relax_activation(kind: str, zl: float, zu: float):
+def relax_activation(kind: str, zl, zu):
     """Coefficients (alphaL, betaL, alphaU, betaU) with
-    alphaL*z + betaL <= sigma(z) <= alphaU*z + betaU on [zl, zu]."""
-    if zl > zu:
+    alphaL*z + betaL <= sigma(z) <= alphaU*z + betaU on [zl, zu], elementwise
+    over arrays (or scalars) of interval endpoints."""
+    zl, zu = np.asarray(zl, dtype=float), np.asarray(zu, dtype=float)
+    if np.any(zl > zu):
         raise ValueError("empty pre-activation interval")
     if kind == "identity":
-        return 1.0, 0.0, 1.0, 0.0
+        one, zero = np.ones_like(zl), np.zeros_like(zl)
+        return one, zero, one, zero
     if kind == "relu":
-        if zl >= 0.0:
-            return 1.0, 0.0, 1.0, 0.0
-        if zu <= 0.0:
-            return 0.0, 0.0, 0.0, 0.0
-        aU = zu / (zu - zl)
-        bU = -zl * zu / (zu - zl)
-        aL = 1.0 if zu >= -zl else 0.0
-        return aL, 0.0, aU, bU
+        on = zl >= 0.0
+        mixed = (zl < 0.0) & (zu > 0.0)
+        span = np.where(mixed, zu - zl, 1.0)
+        aU = np.where(mixed, zu / span, on)
+        bU = np.where(mixed, -zl * zu / span, 0.0)
+        aL = np.where(mixed, zu >= -zl, on).astype(float)
+        return aL, np.zeros_like(aU), aU, bU
     if kind == "tanh":
         return _relax_tanh(zl, zu)
     raise ValueError(f"unknown activation {kind!r}")
@@ -154,31 +150,39 @@ def relax_activation(kind: str, zl: float, zu: float):
 
 # ---------------------------------------------------------------------------
 # Linear bound propagation
+#
+# Both McCormick forms of layer l anchor at one reference vector zref_l (the
+# input's lower corner for layer 0, the post-activation lower bound of the
+# layer before otherwise), and every later step only mixes rows. So the
+# coefficient of W^(l)[r, c] in an LBF row i is always C_l[i, r] * zref_l[c]:
+# an LBF stores C_l, and the weight box enters through zref_l . W_r alone.
 
 
 @dataclass
 class LinearBoundingFunction:
-    """A bound of the form mu . x + sum_l <nu[l], W^(l)> + lam, one row per
-    neuron of the current layer."""
+    """A bound of the form mu . x + sum_l sum_r coef[l][:, r] * (zref_l . W^(l)_r)
+    + lam, one row per neuron of the current layer."""
 
     mu: np.ndarray              # (m, n_in)
-    nu: list[np.ndarray]        # nu[l]: (m, rows_l, cols_l)
+    coef: list[np.ndarray]      # coef[l]: (m, rows_l)
     lam: np.ndarray             # (m,)
 
 
-def _lbf_extreme(f: LinearBoundingFunction, T: InputBox, wboxes, minimize: bool):
-    """Analytic optimum of each LBF row over the input and weight boxes."""
-    if minimize:
-        lo_x, hi_x = T.lower, T.upper
-    else:
-        lo_x, hi_x = T.upper, T.lower
+def _ref_range(WL, WU, zref):
+    """(min, max) of zref . W_r over the weight box, for each row r of W."""
+    pos = zref >= 0
+    return (np.where(pos, zref * WL, zref * WU).sum(axis=1),
+            np.where(pos, zref * WU, zref * WL).sum(axis=1))
+
+
+def _lbf_extreme(f: LinearBoundingFunction, T: InputBox, ranges, minimize: bool):
+    """Analytic optimum of each LBF row over the input and weight boxes;
+    ranges[l] is layer l's ``_ref_range``."""
+    lo_x, hi_x = (T.lower, T.upper) if minimize else (T.upper, T.lower)
     total = f.lam + np.where(f.mu >= 0, f.mu * lo_x, f.mu * hi_x).sum(axis=1)
-    for nu_l, (WL, WU, _, _) in zip(f.nu, wboxes):
-        if minimize:
-            contrib = np.where(nu_l >= 0, nu_l * WL, nu_l * WU)
-        else:
-            contrib = np.where(nu_l >= 0, nu_l * WU, nu_l * WL)
-        total = total + contrib.sum(axis=(1, 2))
+    for C, (lo, hi) in zip(f.coef, ranges):
+        lo, hi = (lo, hi) if minimize else (hi, lo)
+        total = total + np.maximum(C, 0.0) @ lo + np.minimum(C, 0.0) @ hi
     return total
 
 
@@ -187,25 +191,20 @@ def _scale_rows(fL: LinearBoundingFunction, fU: LinearBoundingFunction,
     """Per-row composition alpha_j * f_j + beta_j, picking the lower or upper
     source LBF by the sign of alpha_j (linear-transform lemma)."""
     pick_L = (alpha >= 0) if lower_side else (alpha < 0)
-    a = alpha[:, None]
-    mu = np.where(pick_L[:, None], a * fL.mu, a * fU.mu)
-    nu = []
-    for nuL, nuU in zip(fL.nu, fU.nu):
-        sel = pick_L[:, None, None]
-        nu.append(np.where(sel, alpha[:, None, None] * nuL,
-                           alpha[:, None, None] * nuU))
+    a, sel = alpha[:, None], pick_L[:, None]
+    mu = np.where(sel, a * fL.mu, a * fU.mu)
+    coef = [np.where(sel, a * CL, a * CU) for CL, CU in zip(fL.coef, fU.coef)]
     lam = np.where(pick_L, alpha * fL.lam, alpha * fU.lam) + beta
-    return LinearBoundingFunction(mu=mu, nu=nu, lam=lam)
+    return LinearBoundingFunction(mu=mu, coef=coef, lam=lam)
 
 
 def _combine(A_pos, A_neg, fL: LinearBoundingFunction, fU: LinearBoundingFunction):
     """Row-mix LBFs: row i gets sum_j A_ij * (lower LBF of z_j if A_ij >= 0
     else upper LBF), expressed with the positive/negative parts of A."""
     mu = A_pos @ fL.mu + A_neg @ fU.mu
-    nu = [np.einsum("ij,jrc->irc", A_pos, nL) + np.einsum("ij,jrc->irc", A_neg, nU)
-          for nL, nU in zip(fL.nu, fU.nu)]
+    coef = [A_pos @ CL + A_neg @ CU for CL, CU in zip(fL.coef, fU.coef)]
     lam = A_pos @ fL.lam + A_neg @ fU.lam
-    return LinearBoundingFunction(mu=mu, nu=nu, lam=lam)
+    return LinearBoundingFunction(mu=mu, coef=coef, lam=lam)
 
 
 def _bilinear_lbf(A, b_end, zref, zL_f, zU_f, lower_side: bool):
@@ -213,18 +212,12 @@ def _bilinear_lbf(A, b_end, zref, zL_f, zU_f, lower_side: bool):
 
     A is the relevant corner of the weight box (WL for the lower bound, WU
     for the upper; both McCormick forms anchor on the z lower reference
-    vector zref). The term W . zref is linear in this layer's own weights and
-    lands in a fresh nu entry.
+    vector zref). The term W . zref is linear in this layer's own weights:
+    its coefficient matrix starts as the identity.
     """
-    m = A.shape[0]
-    A_pos, A_neg = np.maximum(A, 0.0), np.minimum(A, 0.0)
-    if lower_side:
-        f = _combine(A_pos, A_neg, zL_f, zU_f)
-    else:
-        f = _combine(A_pos, A_neg, zU_f, zL_f)
-    own = np.zeros((m, A.shape[0], A.shape[1]))
-    own[np.arange(m), np.arange(m), :] = zref
-    f.nu.append(own)
+    pos_f, neg_f = (zL_f, zU_f) if lower_side else (zU_f, zL_f)
+    f = _combine(np.maximum(A, 0.0), np.minimum(A, 0.0), pos_f, neg_f)
+    f.coef.append(np.eye(A.shape[0]))
     f.lam = f.lam - A @ zref + b_end
     return f
 
@@ -243,36 +236,32 @@ def lbp_forward(net: Network, T: InputBox, R: WeightBox):
 
     # First layer: McCormick on W x directly (both forms anchor at x^L).
     WL0, WU0, bL0, bU0 = wboxes[0]
-    m0 = WL0.shape[0]
-    own = np.zeros((m0, WL0.shape[0], WL0.shape[1]))
-    own[np.arange(m0), np.arange(m0), :] = T.lower
-    fL = LinearBoundingFunction(mu=WL0.copy(), nu=[own.copy()],
-                                lam=bL0 - WL0 @ T.lower)
-    fU = LinearBoundingFunction(mu=WU0.copy(), nu=[own.copy()],
-                                lam=bU0 - WU0 @ T.lower)
+    ranges = [_ref_range(WL0, WU0, T.lower)]
+    own = np.eye(WL0.shape[0])
+    fL = LinearBoundingFunction(mu=WL0, coef=[own], lam=bL0 - WL0 @ T.lower)
+    fU = LinearBoundingFunction(mu=WU0, coef=[own], lam=bU0 - WU0 @ T.lower)
 
     for k in range(len(net.layers) - 1):
-        zetaL = _lbf_extreme(fL, T, wboxes, minimize=True)
-        zetaU = _lbf_extreme(fU, T, wboxes, minimize=False)
+        zetaL = _lbf_extreme(fL, T, ranges, minimize=True)
+        zetaU = _lbf_extreme(fU, T, ranges, minimize=False)
         zetaL = np.maximum(zetaL, ibp_pre[k][0])
         zetaU = np.minimum(zetaU, ibp_pre[k][1])
         # Two sound bounds can cross by rounding when the interval is a point.
         zetaL = np.minimum(zetaL, zetaU)
         act = net.layers[k].activation
-        coeffs = np.array([relax_activation(act, lo, hi)
-                           for lo, hi in zip(zetaL, zetaU)])
-        aL, bL, aU, bU = coeffs.T
+        aL, bL, aU, bU = relax_activation(act, zetaL, zetaU)
         zL_f = _scale_rows(fL, fU, aL, bL, lower_side=True)
         zU_f = _scale_rows(fL, fU, aU, bU, lower_side=False)
         # Post-activation interval endpoints (activations are monotone).
         z_lo = activate(act, zetaL)
 
         WLn, WUn, bLn, bUn = wboxes[k + 1]
+        ranges.append(_ref_range(WLn, WUn, z_lo))
         fL = _bilinear_lbf(WLn, bLn, z_lo, zL_f, zU_f, lower_side=True)
         fU = _bilinear_lbf(WUn, bUn, z_lo, zL_f, zU_f, lower_side=False)
 
-    yL = _lbf_extreme(fL, T, wboxes, minimize=True)
-    yU = _lbf_extreme(fU, T, wboxes, minimize=False)
+    yL = _lbf_extreme(fL, T, ranges, minimize=True)
+    yU = _lbf_extreme(fU, T, ranges, minimize=False)
     yL = np.maximum(yL, ibp_pre[-1][0])
     yU = np.minimum(yU, ibp_pre[-1][1])
     yL = np.minimum(yL, yU)

@@ -245,8 +245,13 @@ def test_non_finite_spec_exit_2(capsys, safe_posterior_file, tmp_path,
     ("sweep", "sweep", {"grid": "abc", "true_class": 0}),
     ("certify", "spec", [0.0, 0.1, 0]),
     ("certify", "posterior", [[0.0, 1.0]]),
+    ("certify", "spec", {"center": [0.0, 0.0], "epsilon": 0.1,
+                         "true_class": 7}),
+    ("sweep", "sweep", {"grid": [[-1, 1, 1.0], [-1, 1, 1.0]],
+                        "true_class": 7}),
 ], ids=["spec-class-list", "sweep-class-list", "grid-row-short",
-        "grid-string", "spec-array", "posterior-array"])
+        "grid-string", "spec-array", "posterior-array", "spec-class-range",
+        "sweep-class-range"])
 def test_malformed_types_exit_2(capsys, safe_posterior_file, spec_file,
                                 tmp_path, command, kind, doc):
     bad = tmp_path / "bad.json"

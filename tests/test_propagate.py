@@ -1,4 +1,6 @@
+import importlib
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from bnncert.spec import InputBox
 from conftest import count_violations, random_boxes, random_net
 
 log = logging.getLogger(__name__)
+# The module, not the ``propagate`` function the package re-exports under
+# the same name.
+propagate_mod = importlib.import_module("bnncert.propagate")
 
 
 def boxes_1d(w_lo, w_hi, b_lo, b_hi, x_lo, x_hi):
@@ -95,7 +100,93 @@ class TestRelaxActivation:
         assert np.all(aU * z + bU >= s - 1e-12)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["relu", "tanh"]),
+           st.lists(st.tuples(st.sampled_from(["point", "pos", "neg", "cross"]),
+                              st.floats(0, 6), st.floats(0, 6)),
+                    min_size=1, max_size=24),
+           st.integers(0, 23))
+    def test_array_soundness_fuzz(self, kind, cases, flip):
+        # One call relaxes a whole layer: point intervals, all-positive,
+        # all-negative and zero-crossing ones side by side.
+        zl, zu = np.empty(len(cases)), np.empty(len(cases))
+        for i, (case, p, q) in enumerate(cases):
+            zl[i], zu[i] = {"point": (p - 3.0, p - 3.0 + q * 1e-13),
+                            "pos": (p, p + q),
+                            "neg": (-p - q, -p),
+                            "cross": (-p - 1e-3, q + 1e-3)}[case]
+        aL, bL, aU, bU = relax_activation(kind, zl, zu)
+        z = np.linspace(zl, zu, 400)             # (400, n): a grid per interval
+        s = activate(kind, z)
+        assert np.all(aL * z + bL <= s + 1e-12)
+        assert np.all(aU * z + bU >= s - 1e-12)
+        i = flip % len(cases)
+        zl[i], zu[i] = zu[i] + 1.0, zl[i]
+        with pytest.raises(ValueError):
+            relax_activation(kind, zl, zu)
+
+
+# lbp_forward outputs recorded when LBP still kept a dense (m, m, cols)
+# coefficient tensor per layer; storing the coefficients in rank-one form
+# may change the summation order and nothing else. Every instance has
+# pre-activation intervals that cross zero (the tanh ones in the mixed-sign
+# branch of the relaxation).
+PINNED = [
+    (([3, 6, 5, 2], "relu", 1, 1.0),
+     [-4.622649758858533, -4.28411754987294],
+     [-0.2687773517381679, 1.7761559504884494]),
+    (([2, 6, 3], "tanh", 2, 2.0),
+     [-3.385124220291423, 2.9924601969858147, -1.1197808907650413],
+     [0.577234901751829, 8.550743272391408, 1.285222698766329]),
+    (([3, 5, 5, 5, 2], "tanh", 3, 1.0),
+     [-3.15210298316121, -4.827820900300306],
+     [1.4349102401691431, -0.2939983026732553]),
+]
+
+
+def pinned_instance(dims, act, seed, w_scale):
+    rng = np.random.default_rng(seed)
+    net = Network.dense(dims, activation=act)
+    xc = rng.uniform(-1, 1, net.input_dim)
+    wc = rng.normal(0, w_scale, net.n_weights)
+    return (net, InputBox(lower=xc - 0.2, upper=xc + 0.2),
+            WeightBox(lower=wc - 0.05, upper=wc + 0.05))
+
+
 class TestLbp:
+    @pytest.mark.parametrize("instance,yL_ref,yU_ref", PINNED,
+                             ids=["relu-2-hidden", "tanh-mixed-sign",
+                                  "tanh-3-hidden"])
+    def test_pinned_values(self, instance, yL_ref, yU_ref):
+        yL, yU = lbp_forward(*pinned_instance(*instance))
+        for y, ref in ((yL, np.array(yL_ref)), (yU, np.array(yU_ref))):
+            assert np.all(np.abs(y - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    def test_memory_grows_with_width_squared(self, rng):
+        # A dense (m, m, cols) tensor per layer peaked at 104 MB here.
+        net = Network.dense([4, 128, 128, 5])
+        T, R = random_boxes(rng, net, w_scale=0.1, w_width=0.025)
+        tracemalloc.start()
+        try:
+            lbp_forward(net, T, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_one_relaxation_per_hidden_layer(self, rng, monkeypatch):
+        shapes = []
+        real = propagate_mod.relax_activation
+
+        def counting(kind, zl, zu):
+            shapes.append(np.shape(zl))
+            return real(kind, zl, zu)
+
+        monkeypatch.setattr(propagate_mod, "relax_activation", counting)
+        net = Network.dense([3, 7, 6, 5, 2], activation="tanh")
+        lbp_forward(net, *random_boxes(rng, net))
+        assert shapes == [(7,), (6,), (5,)]
+
     def test_point_weights_exact_linear_image(self):
         net = Network.dense([2, 2])
         w = np.array([1.0, -2.0, 0.5, 3.0, 0.1, -0.1])

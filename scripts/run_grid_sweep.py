@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from bnncert.certify import CertifyConfig, psafe_lower, psafe_upper
+from bnncert.certify import CertifyConfig, box_set, psafe_lower, psafe_upper
 from bnncert.net import Network
 from bnncert.spec import InputBox, argmax_spec
 from bnncert.trainer import TrainConfig, fit_vi, hcas_label, make_hcas_like
@@ -49,6 +49,7 @@ def main(argv=None):
 
     cfg = CertifyConfig(num_samples=args.samples, gamma=args.gamma,
                         method=args.method, rng_seed=args.seed)
+    boxes = box_set(post, cfg)       # the same weight boxes for every cell
 
     # sweep the (distance, bearing) plane at fixed heading/tau slice
     rows, t0 = [], time.time()
@@ -58,8 +59,8 @@ def main(argv=None):
             upper = np.array([dhi, bhi, 0.25, -0.25])
             T = InputBox(lower=lower, upper=upper)
             S = argmax_spec(int(hcas_label(T.center)), 5)
-            lo = psafe_lower(net, post, T, S, cfg).value
-            up = psafe_upper(net, post, T, S, cfg).value
+            lo = psafe_lower(net, post, T, S, cfg, boxes).value
+            up = psafe_upper(net, post, T, S, cfg, boxes).value
             if lo >= args.tau_safe:
                 verdict = "safe"
             elif up <= args.tau_unsafe:

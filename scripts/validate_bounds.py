@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from bnncert.certify import CertifyConfig, psafe_lower, psafe_upper
+from bnncert.certify import CertifyConfig, box_set, psafe_lower, psafe_upper
 from bnncert.net import Network
 from bnncert.oracle import psafe_estimate
 from bnncert.posterior import GaussianPosterior
@@ -44,11 +44,14 @@ def main(argv=None):
         T = InputBox(lower=c - eps, upper=c + eps)
         S = argmax_spec(int(rng.integers(2)), 2)
 
+        # Both methods certify over the same weight boxes, built once.
+        boxes = box_set(post, CertifyConfig(num_samples=args.samples,
+                                            gamma=args.gamma, rng_seed=i))
         for method in ("ibp", "lbp"):
             cfg = CertifyConfig(num_samples=args.samples, gamma=args.gamma,
                                 method=method, rng_seed=i)
-            lo = psafe_lower(net, post, T, S, cfg).value
-            up = psafe_upper(net, post, T, S, cfg).value
+            lo = psafe_lower(net, post, T, S, cfg, boxes).value
+            up = psafe_upper(net, post, T, S, cfg, boxes).value
             est, ci_lo, ci_hi = psafe_estimate(
                 net, post, T, S, n_weights=args.mc_weights, n_grid=64,
                 seed=i, confidence=0.999, n_attacks=4)

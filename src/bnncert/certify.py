@@ -3,9 +3,10 @@
 Four certificates are produced: lower/upper bounds on the posterior
 probability of safety, and lower/upper bounds on the posterior-predictive
 decision (softmax mean for classification, output mean for regression).
-All of them are one pipeline: sample weight boxes from the posterior,
-integrate each box's mass exactly, propagate the input region jointly with
-each box to one value per box, and reduce that table to a bound.
+All of them are one pipeline: sample weight boxes from the posterior and
+integrate each box's mass exactly (``box_set``, once per job), propagate
+the input region jointly with the whole stack of boxes to one value per
+box, and reduce those values to a bound.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import attack as attack_mod
 from .net import Network
 from .posterior import (Posterior, WeightBox, box_mass, disjointify,
-                        inclusion_exclusion, make_box, sample)
+                        inclusion_exclusion, make_box, sample, stack_boxes)
 from .propagate import propagate
 from .spec import InputBox, OutputSpec, contains, excludes
 
@@ -65,17 +66,28 @@ class Certificate:
         return asdict(self)
 
 
-@dataclass
-class _BoxTable:
-    """The kept weight boxes of one certificate, each box's posterior mass
-    (integrated once) and one value per box."""
+def _box_key(cfg: CertifyConfig) -> tuple:
+    """The config fields that decide which boxes a certificate uses."""
+    return (cfg.num_samples, cfg.gamma, cfg.margin_scale, cfg.rng_seed,
+            cfg.bonferroni)
+
+
+@dataclass(frozen=True, eq=False)
+class BoxSet:
+    """The kept weight boxes of one job, stacked, and each box's posterior
+    mass (integrated once).
+
+    Boxes and masses do not depend on the input region, so one set serves
+    every certificate of a job: each step of a radius search, each cell of
+    a sweep. It records the posterior and the config fields it was built
+    from, and a certificate refuses a set built for anything else.
+    """
 
     posterior: Posterior
-    depth: int                 # inclusion-exclusion depth; 1 when disjoint
-    boxes: list[WeightBox]
-    masses: list[float]
-    values: list
-    used: int                  # boxes sampled before disjointify
+    boxes: WeightBox           # lower/upper of shape (K, n_w)
+    masses: np.ndarray         # (K,)
+    used: int                  # boxes sampled before disjointify or dedupe
+    built_for: tuple           # _box_key of the config
 
     def mean_bound(self, psi, lo: float, hi: float, lower: bool):
         """Bound on the posterior mean of any f with lo <= f <= hi that is
@@ -90,16 +102,17 @@ class _BoxTable:
         so clamping the value into [lo, hi] keeps it sound.
         """
         sigma, pick = (lo, min) if lower else (hi, max)
+        depth = self.built_for[-1] or 1   # inclusion-exclusion depth
         acc, total = inclusion_exclusion(self.boxes, self.masses, psi, pick,
-                                         self.posterior, self.depth)
+                                         self.posterior, depth)
         value = acc + sigma * (1.0 - min(total, 1.0))
         return min(max(value, lo), hi), min(max(total, 0.0), 1.0)
 
 
-def _box_table(posterior: Posterior, cfg: CertifyConfig, per_box) -> _BoxTable:
+def box_set(posterior: Posterior, cfg: CertifyConfig) -> BoxSet:
     """Sample one box per index (each with its own seed, so a longer run
     extends a shorter one instead of reshuffling it), disjointify unless
-    Bonferroni pricing is on, and evaluate per_box on every kept box.
+    Bonferroni pricing is on, and integrate the mass of every kept box.
 
     Bonferroni pricing keeps one copy of each repeated box (an atom drawn
     twice): the union of identical boxes is that box, so this is exact,
@@ -107,61 +120,74 @@ def _box_table(posterior: Posterior, cfg: CertifyConfig, per_box) -> _BoxTable:
     boxes = [make_box(sample(posterior, (cfg.rng_seed, i)), cfg.gamma,
                       posterior, cfg.margin_scale)
              for i in range(cfg.num_samples)]
-    used = len(boxes)
     if cfg.bonferroni is None:
-        boxes = disjointify(boxes)
+        kept = disjointify(boxes)
     else:
-        boxes = list({(b.lower.tobytes(), b.upper.tobytes()): b
-                      for b in boxes}.values())
-    return _BoxTable(posterior=posterior, depth=cfg.bonferroni or 1,
-                     boxes=boxes,
-                     masses=[box_mass(posterior, b) for b in boxes],
-                     values=[per_box(b) for b in boxes], used=used)
+        kept = list({(b.lower.tobytes(), b.upper.tobytes()): b
+                     for b in boxes}.values())
+    stack = stack_boxes(kept, posterior.n_weights)
+    return BoxSet(posterior=posterior, boxes=stack,
+                  masses=box_mass(posterior, stack), used=len(boxes),
+                  built_for=_box_key(cfg))
 
 
-def _certificate(prop, direction, value, covered, table, kept, t0, cfg,
+def _boxes_for(posterior: Posterior, cfg: CertifyConfig,
+               boxes: BoxSet | None) -> BoxSet:
+    if boxes is None:
+        return box_set(posterior, cfg)
+    if boxes.posterior is not posterior or boxes.built_for != _box_key(cfg):
+        raise ValueError("box set was built for another posterior or for "
+                         "other num_samples/gamma/margin_scale/rng_seed/"
+                         "bonferroni values")
+    return boxes
+
+
+def _certificate(prop, direction, value, covered, boxes, kept, t0, cfg,
                  extra=None) -> Certificate:
     config = asdict(cfg)
     config.pop("attack")
     return Certificate(property=prop, direction=direction, value=value,
-                       covered_mass=covered, boxes_used=table.used,
+                       covered_mass=covered, boxes_used=boxes.used,
                        boxes_kept=kept, wall_time=time.perf_counter() - t0,
                        config=config, extra=extra or {})
 
 
 def psafe_lower(net: Network, posterior: Posterior, T: InputBox, S: OutputSpec,
-                cfg: CertifyConfig) -> Certificate:
+                cfg: CertifyConfig, boxes: BoxSet | None = None) -> Certificate:
     """Sound lower bound: mass of sampled weight boxes whose propagated
-    output box lies entirely inside S."""
+    output box lies entirely inside S.
+
+    ``boxes``, from ``box_set(posterior, cfg)``, saves building the boxes
+    again; without it they are built here."""
     t0 = time.perf_counter()
-    table = _box_table(posterior, cfg, lambda box: float(
-        contains(S, *propagate(net, T, box, cfg.method))))
-    value, covered = table.mean_bound(table.values, 0.0, 1.0, lower=True)
-    return _certificate("psafe", "lower", value, covered, table,
-                        int(sum(table.values)), t0, cfg)
+    boxes = _boxes_for(posterior, cfg, boxes)
+    yL, yU = propagate(net, T, boxes.boxes, cfg.method)
+    safe = [float(contains(S, a, b)) for a, b in zip(yL, yU)]
+    value, covered = boxes.mean_bound(safe, 0.0, 1.0, lower=True)
+    return _certificate("psafe", "lower", value, covered, boxes,
+                        int(sum(safe)), t0, cfg)
 
 
 def psafe_upper(net: Network, posterior: Posterior, T: InputBox, S: OutputSpec,
-                cfg: CertifyConfig) -> Certificate:
+                cfg: CertifyConfig, boxes: BoxSet | None = None) -> Certificate:
     """Sound upper bound: 1 minus the mass of boxes certified unsafe.
 
-    Each box's center weight is attacked over T; the found point is then
-    propagated jointly with the whole weight box, and the box counts as
-    unsafe only if every weight in it maps that point outside S. A failed
-    attack merely skips the box, which keeps the bound sound (if loose).
+    Each box's center weight is attacked over T (all centers in one PGD
+    batch); the point found for a box is then propagated jointly with the
+    whole weight box, and the box counts as unsafe only if every weight in
+    it maps that point outside S. A failed attack merely skips the box,
+    which keeps the bound sound (if loose). ``boxes`` is as in
+    ``psafe_lower``.
     """
     t0 = time.perf_counter()
+    boxes = _boxes_for(posterior, cfg, boxes)
     acfg = cfg.attack or attack_mod.AttackConfig()
-
-    def is_unsafe(box):
-        x_adv = attack_mod.pgd(net, box.center, T, S, acfg)
-        return float(excludes(S, *propagate(net, InputBox.point(x_adv), box,
-                                            cfg.method)))
-
-    table = _box_table(posterior, cfg, is_unsafe)
-    unsafe_mass, covered = table.mean_bound(table.values, 0.0, 1.0, lower=True)
-    return _certificate("psafe", "upper", 1.0 - unsafe_mass, covered, table,
-                        int(sum(table.values)), t0, cfg)
+    x_adv = attack_mod.pgd(net, boxes.boxes.center, T, S, acfg)
+    yL, yU = propagate(net, InputBox.point(x_adv), boxes.boxes, cfg.method)
+    unsafe = [float(excludes(S, a, b)) for a, b in zip(yL, yU)]
+    unsafe_mass, covered = boxes.mean_bound(unsafe, 0.0, 1.0, lower=True)
+    return _certificate("psafe", "upper", 1.0 - unsafe_mass, covered, boxes,
+                        int(sum(unsafe)), t0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -207,60 +233,62 @@ def _sigma_range(task: Task, cfg: CertifyConfig):
     return float(cfg.sigma_floor), float(cfg.sigma_ceil)
 
 
-def _output_table(net, posterior, T, cfg) -> _BoxTable:
-    return _box_table(posterior, cfg,
-                      lambda box: propagate(net, T, box, cfg.method))
-
-
-def _decision_bound(table: _BoxTable, task: Task, lo: float, hi: float,
+def _decision_bound(boxes: BoxSet, yL, yU, task: Task, lo: float, hi: float,
                     lower: bool) -> tuple[float, float]:
     """Bound on one output's posterior-predictive mean, known to lie in
-    [lo, hi], from a table of per-box output boxes; returns the value and
-    the covered mass."""
+    [lo, hi], from the per-box output boxes [yL[i], yU[i]]; returns the
+    value and the covered mass."""
     c = task.class_index
     if task.kind == "classification":
-        psi = [output_worst(yL, yU, c) if lower else output_best(yL, yU, c)
-               for yL, yU in table.values]
+        psi = [output_worst(a, b, c) if lower else output_best(a, b, c)
+               for a, b in zip(yL, yU)]
     elif lower:
-        psi = [max(float(yL[c]), lo) for yL, _ in table.values]
+        psi = [max(float(a[c]), lo) for a in yL]
     else:
-        psi = [min(float(yU[c]), hi) for _, yU in table.values]
-    return table.mean_bound(psi, lo, hi, lower)
+        psi = [min(float(b[c]), hi) for b in yU]
+    return boxes.mean_bound(psi, lo, hi, lower)
 
 
-def _dsafe(net, posterior, T, cfg, task, lower: bool) -> Certificate:
+def _dsafe(net, posterior, T, cfg, task, lower: bool, boxes) -> Certificate:
     t0 = time.perf_counter()
     lo, hi = _sigma_range(task, cfg)
-    table = _output_table(net, posterior, T, cfg)
-    value, covered = _decision_bound(table, task, lo, hi, lower)
+    boxes = _boxes_for(posterior, cfg, boxes)
+    yL, yU = propagate(net, T, boxes.boxes, cfg.method)
+    value, covered = _decision_bound(boxes, yL, yU, task, lo, hi, lower)
     return _certificate("dsafe", "lower" if lower else "upper", value,
-                        covered, table, len(table.boxes), t0, cfg,
+                        covered, boxes, len(boxes.masses), t0, cfg,
                         extra={"task": task.kind, "index": task.class_index})
 
 
 def dsafe_lower(net: Network, posterior: Posterior, T: InputBox,
-                cfg: CertifyConfig, task: Task) -> Certificate:
-    """Sound lower bound on the posterior-predictive decision for one output."""
-    return _dsafe(net, posterior, T, cfg, task, lower=True)
+                cfg: CertifyConfig, task: Task,
+                boxes: BoxSet | None = None) -> Certificate:
+    """Sound lower bound on the posterior-predictive decision for one output;
+    ``boxes`` is as in ``psafe_lower``."""
+    return _dsafe(net, posterior, T, cfg, task, True, boxes)
 
 
 def dsafe_upper(net: Network, posterior: Posterior, T: InputBox,
-                cfg: CertifyConfig, task: Task) -> Certificate:
-    """Sound upper bound on the posterior-predictive decision for one output."""
-    return _dsafe(net, posterior, T, cfg, task, lower=False)
+                cfg: CertifyConfig, task: Task,
+                boxes: BoxSet | None = None) -> Certificate:
+    """Sound upper bound on the posterior-predictive decision for one output;
+    ``boxes`` is as in ``psafe_lower``."""
+    return _dsafe(net, posterior, T, cfg, task, False, boxes)
 
 
 def dsafe_bounds_all_classes(net: Network, posterior: Posterior, T: InputBox,
-                             cfg: CertifyConfig):
-    """Per-class decision bounds sharing one propagation pass.
+                             cfg: CertifyConfig, boxes: BoxSet | None = None):
+    """Per-class decision bounds sharing one box set and one propagation
+    pass; ``boxes`` is as in ``psafe_lower``.
 
     Returns (lowers, uppers) arrays of length output_dim.
     """
-    table = _output_table(net, posterior, T, cfg)
+    boxes = _boxes_for(posterior, cfg, boxes)
+    yL, yU = propagate(net, T, boxes.boxes, cfg.method)
     tasks = [Task.classification(c) for c in range(net.output_dim)]
-    lowers = np.array([_decision_bound(table, t, 0.0, 1.0, True)[0]
+    lowers = np.array([_decision_bound(boxes, yL, yU, t, 0.0, 1.0, True)[0]
                        for t in tasks])
-    uppers = np.array([_decision_bound(table, t, 0.0, 1.0, False)[0]
+    uppers = np.array([_decision_bound(boxes, yL, yU, t, 0.0, 1.0, False)[0]
                        for t in tasks])
     return lowers, uppers
 

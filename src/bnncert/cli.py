@@ -190,6 +190,7 @@ def cmd_sweep(args) -> int:
         raise io_mod.FileFormatError("sweep spec needs true_class or "
                                      "label_rule 'hcas'")
     cfg = _certify_config(args)
+    boxes = certify_mod.box_set(post, cfg)
     rows = []
     counts = {"safe": 0, "unsafe": 0, "uncertifiable": 0}
     for cid, lo, hi in _grid_cells(doc["grid"]):
@@ -200,8 +201,8 @@ def cmd_sweep(args) -> int:
         if "true_class" not in doc:
             S = argmax_spec(int(trainer.hcas_label(T.center)), net.output_dim)
         try:
-            pl = certify_mod.psafe_lower(net, post, T, S, cfg).value
-            pu = certify_mod.psafe_upper(net, post, T, S, cfg).value
+            pl = certify_mod.psafe_lower(net, post, T, S, cfg, boxes).value
+            pu = certify_mod.psafe_upper(net, post, T, S, cfg, boxes).value
         except Exception as e:
             raise RuntimeError(f"sweep failed at cell {cid}: {e}") from e
         if pl >= args.tau_safe:
@@ -318,8 +319,9 @@ def cmd_validate(args) -> int:
         S = argmax_spec(c, net.output_dim)
         cfg = certify_mod.CertifyConfig(num_samples=8, gamma=1.5,
                                         method="lbp", rng_seed=args.seed + i)
-        lo = certify_mod.psafe_lower(net, post, T, S, cfg).value
-        up = certify_mod.psafe_upper(net, post, T, S, cfg).value
+        boxes = certify_mod.box_set(post, cfg)
+        lo = certify_mod.psafe_lower(net, post, T, S, cfg, boxes).value
+        up = certify_mod.psafe_upper(net, post, T, S, cfg, boxes).value
         est, ci_lo, ci_hi = oracle.psafe_estimate(net, post, T, S,
                                                   n_weights=2000,
                                                   seed=args.seed + i)
@@ -331,7 +333,7 @@ def cmd_validate(args) -> int:
         if not (ok_lo and ok_up):
             failures.append(i)
 
-        dl, du = certify_mod.dsafe_bounds_all_classes(net, post, T, cfg)
+        dl, du = certify_mod.dsafe_bounds_all_classes(net, post, T, cfg, boxes)
         mn, mx = oracle.predictive_mean_range_estimate(net, post, T,
                                                        n_weights=500,
                                                        seed=args.seed + i)

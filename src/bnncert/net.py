@@ -115,13 +115,15 @@ class Network:
         return out
 
     def pack(self, params: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Inverse of unpack for unbatched parameters."""
+        """Inverse of unpack: W of shape (..., rows, cols) and b of shape
+        (..., rows) pack to (..., n_w)."""
         pieces = []
         for l, (W, b) in zip(self.layers, params):
-            pieces.append(np.asarray(W, dtype=float).reshape(-1))
+            W = np.asarray(W, dtype=float)
+            pieces.append(W.reshape(*W.shape[:-2], l.rows * l.cols))
             if l.has_bias:
-                pieces.append(np.asarray(b, dtype=float).reshape(-1))
-        return np.concatenate(pieces)
+                pieces.append(np.asarray(b, dtype=float))
+        return np.concatenate(pieces, axis=-1)
 
 
 def activate(kind: str, x: np.ndarray) -> np.ndarray:
@@ -177,18 +179,25 @@ forward_batch = forward
 def backprop(net: Network, w: np.ndarray, x: np.ndarray, loss):
     """A loss of the logits and its gradients, from one forward pass.
 
-    ``loss(logits)`` returns ``(value, dvalue/dlogits)``. ``x`` is one
-    input (n_in,) or a batch (B, n_in) at the single weight vector ``w``.
-    Returns (value, grad_x, grad_w): grad_x is shaped like x, and grad_w
-    sums the contributions of the batch rows.
+    ``loss(logits) -> (value, dvalue/dlogits)``. ``x`` is one input (n_in,)
+    or a batch (B, n_in) at the single weight vector ``w``; or ``w`` stacks
+    K weight vectors (K, n_w) and ``x`` is (K, B, n_in), batch k at w[k].
+    Returns (value, grad_x, grad_w): grad_x is shaped like x, and grad_w is
+    shaped like w, each weight vector summing the contributions of its
+    batch rows.
     """
-    zetas, zs = forward_trace(net, w, x)
+    w = np.asarray(w, dtype=float)
+    lead = w.shape[:-1]
+    zetas, zs = forward_trace(net, w[..., None, :] if lead else w, x)
     value, delta = loss(zs[-1])
     params = net.unpack(w)
     grads = [None] * len(net.layers)
     for k in range(len(net.layers) - 1, -1, -1):
-        rows, z = delta.reshape(-1, delta.shape[-1]), zs[k].reshape(-1, zs[k].shape[-1])
-        grads[k] = (rows.T @ z, rows.sum(axis=0))
+        # Stacked weights are already (K, B, .); a single weight vector
+        # sums over every batch row, whatever the shape of x.
+        rows = delta if lead else delta.reshape(-1, delta.shape[-1])
+        z = zs[k] if lead else zs[k].reshape(-1, zs[k].shape[-1])
+        grads[k] = (rows.swapaxes(-1, -2) @ z, rows.sum(axis=-2))
         delta = delta @ params[k][0]
         if k > 0:
             delta = delta * activate_deriv(net.layers[k - 1].activation, zetas[k - 1])

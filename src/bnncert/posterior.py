@@ -80,16 +80,21 @@ Posterior = GaussianPosterior | SamplePosterior
 
 @dataclass(frozen=True, eq=False)
 class WeightBox:
+    """An axis-aligned box over the flat weight vector, or a stack of K
+    boxes when ``lower`` and ``upper`` have shape (K, n_w)."""
+
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).reshape(-1)
-        hi = np.asarray(self.upper, dtype=float).reshape(-1)
+        lo = np.asarray(self.lower, dtype=float)
+        hi = np.asarray(self.upper, dtype=float)
+        if lo.ndim < 2:
+            lo, hi = lo.reshape(-1), hi.reshape(-1)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if lo.shape != hi.shape:
-            raise ShapeError("box bounds must have equal length")
+        if lo.shape != hi.shape or lo.ndim > 2:
+            raise ShapeError("box bounds must have equal shapes, (n_w,) or (K, n_w)")
         _require_finite(lo, "box lower bound")
         _require_finite(hi, "box upper bound")
         if np.any(lo > hi):
@@ -105,10 +110,6 @@ class WeightBox:
         if np.any(lo > hi):
             return None
         return WeightBox(lower=lo, upper=hi)
-
-    def overlaps(self, other: "WeightBox") -> bool:
-        return bool(np.all(np.maximum(self.lower, other.lower)
-                           <= np.minimum(self.upper, other.upper)))
 
 
 def sample(posterior: Posterior, rng_seed) -> np.ndarray:
@@ -142,40 +143,43 @@ def make_box(w: np.ndarray, gamma: float, posterior: Posterior,
     return WeightBox(lower=w - hw, upper=w + hw)
 
 
-def box_mass(posterior: Posterior, box: WeightBox) -> float:
-    """Exact posterior probability of an axis-aligned weight box.
+def box_mass(posterior: Posterior, box: WeightBox):
+    """Exact posterior probability of an axis-aligned weight box; for a
+    stack of K boxes, an array of the K masses.
 
     Gaussian: product of per-dimension erf differences, accumulated in log
-    space so very high-dimensional products do not underflow. Sample-based:
-    summed weight of atoms inside the closed box.
+    space so very high-dimensional products do not underflow, over the
+    whole stack at once. Sample-based: summed weight of atoms inside each
+    closed box, one box at a time (a stacked test would hold K x atoms x
+    n_w flags).
     """
+    lower, upper = box.lower, box.upper
     if isinstance(posterior, SamplePosterior):
-        inside = np.all((posterior.samples >= box.lower[None, :])
-                        & (posterior.samples <= box.upper[None, :]), axis=1)
-        return float(np.clip(posterior.weights[inside].sum(), 0.0, 1.0))
-    if box.lower.shape[0] != posterior.n_weights:
-        raise ShapeError("box dimensionality differs from posterior")
-    denom = np.sqrt(2.0 * posterior.variance)
-    per_dim = 0.5 * (erf((posterior.mean - box.lower) / denom)
-                     - erf((posterior.mean - box.upper) / denom))
-    per_dim = np.clip(per_dim, 0.0, 1.0)
-    if np.any(per_dim == 0.0):
-        return 0.0
-    return float(np.clip(np.exp(np.log(per_dim).sum()), 0.0, 1.0))
+        s, w = posterior.samples, posterior.weights
+        mass = np.array([w[np.all((s >= lo) & (s <= hi), axis=1)].sum()
+                         for lo, hi in zip(np.atleast_2d(lower),
+                                           np.atleast_2d(upper))])
+    else:
+        if lower.shape[-1] != posterior.n_weights:
+            raise ShapeError("box dimensionality differs from posterior")
+        # In place: over a stack, every temporary holds K x n_w entries.
+        denom = np.sqrt(2.0 * posterior.variance)
+        per_dim = np.divide(posterior.mean - lower, denom)
+        erf(per_dim, out=per_dim)
+        per_dim -= erf((posterior.mean - upper) / denom)
+        per_dim *= 0.5
+        np.clip(per_dim, 0.0, 1.0, out=per_dim)
+        empty = np.any(per_dim == 0.0, axis=-1)
+        with np.errstate(divide="ignore"):
+            mass = np.exp(np.log(per_dim, out=per_dim).sum(axis=-1))
+        mass = np.where(empty, 0.0, mass)
+    mass = np.clip(mass, 0.0, 1.0).reshape(lower.shape[:-1])
+    return float(mass) if mass.ndim == 0 else mass
 
 
-def _intersect_all(boxes: list[WeightBox]) -> WeightBox | None:
-    lo = np.maximum.reduce([b.lower for b in boxes])
-    hi = np.minimum.reduce([b.upper for b in boxes])
-    if np.any(lo > hi):
-        return None
-    return WeightBox(lower=lo, upper=hi)
-
-
-def inclusion_exclusion(boxes: list[WeightBox], masses: list[float],
-                        values: list[float], pick, posterior: Posterior,
-                        depth: int) -> tuple[float, float]:
-    """Truncated inclusion-exclusion over a family of weight boxes.
+def inclusion_exclusion(boxes: WeightBox, masses, values, pick,
+                        posterior: Posterior, depth: int) -> tuple[float, float]:
+    """Truncated inclusion-exclusion over a stack of weight boxes.
 
     Returns (sum_J s_J m(J) pick(values[J]), sum_J s_J m(J)) over every
     index set J of at most ``depth`` boxes, where m(J) is the posterior mass
@@ -190,15 +194,23 @@ def inclusion_exclusion(boxes: list[WeightBox], masses: list[float],
     """
     acc = sum(m * v for m, v in zip(masses, values))
     total = sum(masses)
-    for j in range(2, min(depth, len(boxes)) + 1):
+    for j in range(2, min(depth, len(masses)) + 1):
         sign = (-1.0) ** (j + 1)
-        for combo in itertools.combinations(range(len(boxes)), j):
-            inter = _intersect_all([boxes[i] for i in combo])
-            if inter is not None:
-                m = sign * box_mass(posterior, inter)
+        for combo in itertools.combinations(range(len(masses)), j):
+            lo = boxes.lower[list(combo)].max(axis=0)
+            hi = boxes.upper[list(combo)].min(axis=0)
+            if np.all(lo <= hi):
+                m = sign * box_mass(posterior, WeightBox(lower=lo, upper=hi))
                 acc += m * pick(values[i] for i in combo)
                 total += m
     return float(acc), float(total)
+
+
+def stack_boxes(boxes: list[WeightBox], n_weights: int) -> WeightBox:
+    """The boxes as one stacked WeightBox of shape (len(boxes), n_weights)."""
+    shape = (len(boxes), n_weights)
+    return WeightBox(lower=np.reshape([b.lower for b in boxes], shape),
+                     upper=np.reshape([b.upper for b in boxes], shape))
 
 
 def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
@@ -210,11 +222,12 @@ def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
         raise ValueError("depth_lower must be an even integer >= 2")
     if depth_upper % 2 != 1 or depth_upper < 1:
         raise ValueError("depth_upper must be an odd integer >= 1")
-    masses = [box_mass(posterior, b) for b in boxes]
+    stack = stack_boxes(boxes, posterior.n_weights)
+    masses = box_mass(posterior, stack)
     ones = [1.0] * len(boxes)
-    _, lower = inclusion_exclusion(boxes, masses, ones, min, posterior,
+    _, lower = inclusion_exclusion(stack, masses, ones, min, posterior,
                                    depth_lower)
-    _, upper = inclusion_exclusion(boxes, masses, ones, min, posterior,
+    _, upper = inclusion_exclusion(stack, masses, ones, min, posterior,
                                    depth_upper)
     return float(np.clip(lower, 0.0, 1.0)), float(np.clip(upper, 0.0, 1.0))
 
@@ -222,9 +235,16 @@ def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
 def disjointify(boxes: list[WeightBox]) -> list[WeightBox]:
     """Greedy pairwise-disjoint subset: keep each box unless it intersects an
     already-kept one. Earlier boxes win, so results are order-dependent but
-    deterministic."""
+    deterministic. Each candidate is tested against the whole kept stack
+    in one array expression: boxes meet iff each one's lower corner lies
+    below the other's upper corner."""
+    n = boxes[0].lower.size if boxes else 0
+    lower, upper = np.empty((2, len(boxes), n))    # the kept boxes, in order
     kept: list[WeightBox] = []
     for b in boxes:
-        if not any(b.overlaps(k) for k in kept):
+        k = len(kept)
+        if not np.any(np.all((lower[:k] <= b.upper) & (b.lower <= upper[:k]),
+                             axis=1)):
+            lower[k], upper[k] = b.lower, b.upper
             kept.append(b)
     return kept

@@ -22,10 +22,11 @@ from .spec import InputBox
 
 
 def _unpack_box(net: Network, R: WeightBox):
-    """Per-layer (WL, WU, bL, bU) arrays from a flat weight box."""
-    if R.lower.shape[0] != net.n_weights:
+    """Per-layer (WL, WU, bL, bU) arrays from a flat weight box, keeping a
+    leading box axis."""
+    if R.lower.shape[-1] != net.n_weights:
         raise ShapeError(
-            f"weight box has {R.lower.shape[0]} entries, network needs {net.n_weights}"
+            f"weight box has {R.lower.shape[-1]} entries, network needs {net.n_weights}"
         )
     lows = net.unpack(R.lower)
     highs = net.unpack(R.upper)
@@ -36,16 +37,24 @@ def _bilinear_interval(WL, WU, bL, bU, zL, zU):
     """Interval of W z + b when both W and z live in boxes.
 
     Each monomial attains its extremes at a corner of
-    [WL_ij, WU_ij] x [zL_j, zU_j].
+    [WL_ij, WU_ij] x [zL_j, zU_j]. The corner products are elementwise and
+    the sums run over the last axis, so each box of a stack gets the same
+    bits as on its own.
     """
+    zL, zU = zL[..., None, :], zU[..., None, :]
     corners = np.stack([WL * zL, WL * zU, WU * zL, WU * zU])
     tL = corners.min(axis=0)
     tU = corners.max(axis=0)
-    return tL.sum(axis=1) + bL, tU.sum(axis=1) + bU
+    return tL.sum(axis=-1) + bL, tU.sum(axis=-1) + bU
 
 
 def ibp_layer_intervals(net: Network, T: InputBox, R: WeightBox):
-    """Pre-activation intervals (zetaL, zetaU) for every layer, last included."""
+    """Pre-activation intervals (zetaL, zetaU) for every layer, last included.
+
+    T and R may each carry a leading axis of K boxes; box k of one pairs
+    with box k of the other (or with the single box), and every interval
+    gets the same leading axis.
+    """
     if T.dim != net.input_dim:
         raise ShapeError(f"input box dim {T.dim} != network input dim {net.input_dim}")
     zL, zU = T.lower, T.upper
@@ -60,7 +69,8 @@ def ibp_layer_intervals(net: Network, T: InputBox, R: WeightBox):
 
 
 def ibp_forward(net: Network, T: InputBox, R: WeightBox):
-    """Output bounding box via interval bound propagation."""
+    """Output bounding box via interval bound propagation, for one box pair
+    or a stack of them."""
     zetaL, zetaU = ibp_layer_intervals(net, T, R)[-1]
     return zetaL, zetaU
 
@@ -113,11 +123,14 @@ def _relax_tanh(zl, zu):
     # Concave region (zl >= 0): chord below, tangent above. Convex region
     # (zu <= 0): tangent below, chord above. Mixed sign: tangent through the
     # far endpoint on each side.
+    # The bisection runs on the mixed-sign entries only; each entry's
+    # bisection is independent of the others.
     concave, convex = zl >= 0.0, zu <= 0.0
-    aL = np.where(concave, chord, np.where(
-        convex, tangent, _tanh_tangent_slope(zu, np.minimum(zl, -20.0), 0.0)))
-    aU = np.where(concave, tangent, np.where(
-        convex, chord, _tanh_tangent_slope(zl, 0.0, np.maximum(zu, 20.0))))
+    mixed = ~(concave | convex)
+    aL = np.where(concave, chord, tangent)
+    aU = np.where(concave, tangent, chord)
+    aL[mixed] = _tanh_tangent_slope(zu[mixed], np.minimum(zl[mixed], -20.0), 0.0)
+    aU[mixed] = _tanh_tangent_slope(zl[mixed], 0.0, np.maximum(zu[mixed], 20.0))
     bL, _ = _tanh_sound_intercepts(zl, zu, aL)
     _, bU = _tanh_sound_intercepts(zl, zu, aU)
     val = np.tanh(0.5 * (zl + zu))
@@ -268,10 +281,28 @@ def lbp_forward(net: Network, T: InputBox, R: WeightBox):
     return yL, yU
 
 
+def _row(box, k):
+    """Box k of a stack, or the box itself when it is a single box."""
+    if box.lower.ndim == 1:
+        return box
+    return type(box)(lower=box.lower[k], upper=box.upper[k])
+
+
 def propagate(net: Network, T: InputBox, R: WeightBox, method: str = "ibp"):
-    """Dispatch to the named propagation method."""
+    """Dispatch to the named propagation method.
+
+    T and R may carry a leading axis of K boxes, as ``ibp_layer_intervals``
+    takes them; the output bounds then have shape (K, n_out). IBP bounds
+    the whole stack in one pass, LBP one box pair at a time.
+    """
     if method == "ibp":
         return ibp_forward(net, T, R)
-    if method == "lbp":
+    if method != "lbp":
+        raise ValueError(f"unknown propagation method {method!r}")
+    stacked = [b.lower.shape[0] for b in (T, R) if b.lower.ndim > 1]
+    if not stacked:
         return lbp_forward(net, T, R)
-    raise ValueError(f"unknown propagation method {method!r}")
+    yL, yU = np.empty((2, stacked[0], net.output_dim))
+    for k in range(stacked[0]):
+        yL[k], yU[k] = lbp_forward(net, _row(T, k), _row(R, k))
+    return yL, yU

@@ -4,8 +4,8 @@ MaxRR is the largest epsilon whose L-infinity ball still certifies
 P_safe above tau_safe; MinUR is the smallest epsilon whose ball is
 certified below tau_unsafe. Both walk a fixed epsilon grid (linear, not
 bisection: the sampled bounds are only monotone when the certify seed is
-held fixed, which the search does) and reuse the same weight-box samples
-at every step.
+held fixed, which the search does) and reuse the same weight boxes at
+every step: each search builds its box set once.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import Certificate, CertifyConfig, psafe_lower, psafe_upper
+from .certify import (Certificate, CertifyConfig, box_set, psafe_lower,
+                      psafe_upper)
 from .net import Network
 from .posterior import Posterior
 from .spec import OutputSpec, linf_ball
@@ -72,9 +73,10 @@ def max_robust_radius(net: Network, posterior: Posterior, x: np.ndarray,
     search stops at the first failure.
     """
     res = RadiusResult(radius=0.0)
+    boxes = box_set(posterior, cfg)
     for eps in _up_grid(scfg.eps_start_safe, scfg.step, scfg.eps_cap):
         T = linf_ball(x, eps, scfg.clip)
-        cert = psafe_lower(net, posterior, T, S, cfg)
+        cert = psafe_lower(net, posterior, T, S, cfg, boxes=boxes)
         log.debug("MaxRR eps=%g: psafe_lower=%.6f", eps, cert.value)
         res.epsilons.append(eps)
         res.values.append(cert.value)
@@ -101,13 +103,14 @@ def min_unrobust_radius(net: Network, posterior: Posterior, x: np.ndarray,
 
     def check(eps):
         T = linf_ball(x, eps, scfg.clip)
-        cert = psafe_upper(net, posterior, T, S, cfg)
+        cert = psafe_upper(net, posterior, T, S, cfg, boxes=boxes)
         log.debug("MinUR eps=%g: psafe_upper=%.6f", eps, cert.value)
         res.epsilons.append(eps)
         res.values.append(cert.value)
         res.certificates.append(cert)
         return cert.value < scfg.tau_unsafe
 
+    boxes = box_set(posterior, cfg)
     res = RadiusResult(radius=scfg.eps_cap, vacuous=True)
     eps0 = round(scfg.eps_start_unsafe, 12)
     if check(eps0):

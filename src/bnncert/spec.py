@@ -15,6 +15,9 @@ from .net import ShapeError
 
 @dataclass(frozen=True, eq=False)
 class InputBox:
+    """An axis-aligned input box, or a stack of K boxes when ``lower`` and
+    ``upper`` have shape (K, n_in)."""
+
     lower: np.ndarray
     upper: np.ndarray
 
@@ -23,8 +26,8 @@ class InputBox:
         hi = np.asarray(self.upper, dtype=float)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ShapeError("box bounds must be 1-D vectors of equal length")
+        if lo.shape != hi.shape or lo.ndim not in (1, 2):
+            raise ShapeError("box bounds must have equal shapes, (n_in,) or (K, n_in)")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
@@ -32,7 +35,7 @@ class InputBox:
 
     @property
     def dim(self) -> int:
-        return self.lower.shape[0]
+        return self.lower.shape[-1]
 
     @property
     def center(self) -> np.ndarray:

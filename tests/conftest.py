@@ -7,14 +7,15 @@ from bnncert.spec import InputBox
 
 
 def random_net(rng, n_layers=None, min_width=4, max_width=32,
-               n_in=None, n_out=None):
-    """Random small feed-forward net with a random hidden activation."""
+               n_in=None, n_out=None, activation=None):
+    """Random small feed-forward net with a random hidden activation, unless
+    one is given."""
     if n_layers is None:
         n_layers = int(rng.integers(1, 4))
     dims = [n_in or int(rng.integers(2, 6))]
     dims += [int(rng.integers(min_width, max_width + 1)) for _ in range(n_layers)]
     dims.append(n_out or int(rng.integers(2, 6)))
-    act = str(rng.choice(["relu", "tanh"]))
+    act = activation or str(rng.choice(["relu", "tanh"]))
     return Network.dense(dims, activation=act)
 
 

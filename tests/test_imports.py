@@ -8,6 +8,7 @@ gate. ``__init__.py`` is skipped (its imports are re-exports), and so is
 
 import ast
 import importlib
+import inspect
 import importlib.util
 from pathlib import Path
 
@@ -77,3 +78,12 @@ def test_bench_span_targets_exist():
     missing = [f"{module}.{attr}" for module, attr, *_ in spans.TARGETS
                if not hasattr(importlib.import_module(module), attr)]
     assert spans.TARGETS and missing == []
+
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_submodule_is_not_shadowed(path):
+    # A package re-export named like a submodule would hide the module from
+    # ``import bnncert.x as m`` and from monkeypatching "bnncert.x.attr".
+    importlib.import_module(f"bnncert.{path.stem}")
+    assert inspect.ismodule(getattr(importlib.import_module("bnncert"), path.stem))

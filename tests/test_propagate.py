@@ -1,4 +1,3 @@
-import importlib
 import logging
 import tracemalloc
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bnncert.propagate as propagate_mod
 from bnncert.net import Network, ShapeError, activate, forward
 from bnncert.posterior import WeightBox
 from bnncert.propagate import (ibp_forward, lbp_forward, propagate,
@@ -16,9 +16,6 @@ from bnncert.spec import InputBox
 from conftest import count_violations, random_boxes, random_net
 
 log = logging.getLogger(__name__)
-# The module, not the ``propagate`` function the package re-exports under
-# the same name.
-propagate_mod = importlib.import_module("bnncert.propagate")
 
 
 def boxes_1d(w_lo, w_hi, b_lo, b_hi, x_lo, x_hi):

@@ -51,24 +51,27 @@ def main(argv=None):
                         method=args.method, rng_seed=args.seed)
     boxes = box_set(post, cfg)       # the same weight boxes for every cell
 
-    # sweep the (distance, bearing) plane at fixed heading/tau slice
-    rows, t0 = [], time.time()
-    for dlo, dhi in grid_cells(-1.0, 1.0, args.cell_width):
-        for blo, bhi in grid_cells(-1.0, 1.0, args.cell_width):
-            lower = np.array([dlo, blo, 0.25, -0.25])
-            upper = np.array([dhi, bhi, 0.25, -0.25])
-            T = InputBox(lower=lower, upper=upper)
-            S = argmax_spec(int(hcas_label(T.center)), 5)
-            lo = psafe_lower(net, post, T, S, cfg, boxes).value
-            up = psafe_upper(net, post, T, S, cfg, boxes).value
-            if lo >= args.tau_safe:
-                verdict = "safe"
-            elif up <= args.tau_unsafe:
-                verdict = "unsafe"
-            else:
-                verdict = "uncertifiable"
-            rows.append((f"{dlo:.2f}:{dhi:.2f}", f"{blo:.2f}:{bhi:.2f}",
-                         lo, up, verdict))
+    # sweep the (distance, bearing) plane at fixed heading/tau slice,
+    # every cell in one stack of regions
+    t0 = time.time()
+    cells = [(d, b) for d in grid_cells(-1.0, 1.0, args.cell_width)
+             for b in grid_cells(-1.0, 1.0, args.cell_width)]
+    T = InputBox(lower=[[dlo, blo, 0.25, -0.25] for (dlo, _), (blo, _) in cells],
+                 upper=[[dhi, bhi, 0.25, -0.25] for (_, dhi), (_, bhi) in cells])
+    S = [argmax_spec(int(c), 5) for c in hcas_label(T.center)]
+    lowers = psafe_lower(net, post, T, S, cfg, boxes)
+    uppers = psafe_upper(net, post, T, S, cfg, boxes)
+    rows = []
+    for ((dlo, dhi), (blo, bhi)), lower, upper in zip(cells, lowers, uppers):
+        lo, up = lower.value, upper.value
+        if lo >= args.tau_safe:
+            verdict = "safe"
+        elif up <= args.tau_unsafe:
+            verdict = "unsafe"
+        else:
+            verdict = "uncertifiable"
+        rows.append((f"{dlo:.2f}:{dhi:.2f}", f"{blo:.2f}:{bhi:.2f}",
+                     lo, up, verdict))
 
     n = len(rows)
     counts = {v: sum(r[4] == v for r in rows)

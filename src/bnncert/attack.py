@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Network, backprop, forward
+from .net import Network, ShapeError, backprop, forward
 from .spec import InputBox, OutputSpec
 
 
@@ -25,47 +25,80 @@ class AttackConfig:
             raise ValueError("iterations and restarts must be >= 1")
 
 
-def pgd(net: Network, w: np.ndarray, T: InputBox, S: OutputSpec,
-        acfg: AttackConfig) -> np.ndarray:
+def _stack_specs(S, M: int):
+    """Constraints of one spec, or of M specs padded to a common row count
+    with rows that never bind (0 . y + inf), as arrays (M or 1, r, n_out)
+    and (M or 1, r)."""
+    if isinstance(S, OutputSpec):
+        return S.C[None], S.d[None]
+    if len(S) != M:
+        raise ShapeError(f"{len(S)} specs for {M} regions")
+    r = max(s.C.shape[0] for s in S)
+    C = np.zeros((M, r, S[0].n_outputs))
+    d = np.full((M, r), np.inf)
+    for m, s in enumerate(S):
+        C[m, :len(s.d)], d[m, :len(s.d)] = s.C, s.d
+    return C, d
+
+
+def pgd(net: Network, w: np.ndarray, T: InputBox,
+        S: OutputSpec | list[OutputSpec], acfg: AttackConfig) -> np.ndarray:
     """Projected gradient descent over T on the spec margin
     min(C y + d), which is negative exactly where the point violates S;
     returns the iterate with the smallest margin.
 
-    ``w`` is one weight vector (n_w,), or K of them stacked (K, n_w), which
-    are attacked together and get one point each, shape (K, n_in); each
-    equals the point a call with that weight vector alone returns.
+    ``w`` is one weight vector (n_w,) or K of them (K, n_w); ``T`` is one
+    region (n_in,) or M of them (M, n_in), and ``S`` one spec for every
+    region or a sequence of M specs, one per region. Every weight vector
+    attacks every region in one batch and gets one point per region, shape
+    (M, K, n_in), without the M axis for one region and without the K axis
+    for one weight vector; each point equals the one a call with that
+    weight vector and region alone returns.
 
-    The box center and seeded random starts descend together as one batch,
-    so each step is one backprop call and the last iterates take one final
-    forward pass. Every step is projected back into T, so the result is
-    always a member of T and never worse than the center. Each restart keeps
-    its first iterate strictly below the center's margin and below its own
-    earlier iterates; ties between restarts go to the earliest one.
+    The region centre and seeded random starts descend together as one
+    batch, so each step is one backprop call and the last iterates take one
+    final forward pass. Each region has its own step and every step is
+    projected back into the region, so a point is always a member of it and
+    never worse than its centre. Each restart keeps its first iterate
+    strictly below the centre's margin and below its own earlier iterates;
+    ties between restarts go to the earliest one.
     """
-    def spec_margin(y):
-        m = (S.C @ y[..., None])[..., 0] + S.d
-        return m.min(axis=-1), S.C[np.argmin(m, axis=-1)]
-
     w = np.asarray(w, dtype=float)
     ws = np.atleast_2d(w)
-    width = np.max(T.width)
-    step = 2.5 * width / acfg.iterations if width > 0 else 0.0
-    rng = np.random.default_rng(acfg.seed)
-    starts = np.stack([T.center] + [rng.uniform(T.lower, T.upper)
-                                    for _ in range(acfg.restarts - 1)])
-    x = np.broadcast_to(starts, (len(ws), *starts.shape))
+    lo, hi = np.atleast_2d(T.lower)[:, None], np.atleast_2d(T.upper)[:, None]
+    K, (M, _, n_in), R = len(ws), lo.shape, acfg.restarts
+    C, d = _stack_specs(S, M)
+    rows = np.arange(len(C))[:, None]
 
-    m, g, _ = backprop(net, ws, x, spec_margin)
-    best_m = np.broadcast_to(m[:, :1], m.shape).copy()
-    best_x = np.broadcast_to(T.center, x.shape).copy()
+    def spec_margin(y):
+        y = y.reshape(K, M, R, C.shape[-1])
+        m = (C[:, None] @ y[..., None])[..., 0] + d[:, None]
+        grad = C[rows, np.argmin(m, axis=-1)]
+        return m.min(axis=-1), grad.reshape(K, M * R, C.shape[-1])
+
+    def flat(x):
+        return x.reshape(K, M * R, n_in)
+
+    step = 2.5 * np.max(hi - lo, axis=-1, keepdims=True) / acfg.iterations
+    # Every region draws the random starts a fresh generator gives it:
+    # lo + (hi - lo) * u is the value rng.uniform(lo, hi) returns.
+    u = np.random.default_rng(acfg.seed).random((R - 1, n_in))
+    starts = np.concatenate([0.5 * (lo + hi), lo + (hi - lo) * u], axis=1)
+    x = np.broadcast_to(starts, (K, M, R, n_in))
+
+    m, g, _ = backprop(net, ws, flat(x), spec_margin)
+    best_m = np.broadcast_to(m[..., :1], m.shape).copy()
+    best_x = np.broadcast_to(starts[:, :1], x.shape).copy()
     for k in range(acfg.iterations):
-        x = T.clip(x - step * np.sign(g))
+        x = np.clip(x - step * np.sign(g.reshape(x.shape)), lo, hi)
         if k + 1 < acfg.iterations:
-            m, g, _ = backprop(net, ws, x, spec_margin)
+            m, g, _ = backprop(net, ws, flat(x), spec_margin)
         else:
-            m = spec_margin(forward(net, ws[:, None, :], x))[0]
+            m = spec_margin(forward(net, ws[:, None, :], flat(x)))[0]
         better = m < best_m
         best_m[better], best_x[better] = m[better], x[better]
-    best = np.argmin(best_m, axis=-1)
-    out = np.take_along_axis(best_x, best[:, None, None], axis=1)[:, 0]
-    return out if w.ndim > 1 else out[0]
+    best = np.argmin(best_m, axis=-1)[..., None, None]
+    out = np.take_along_axis(best_x, best, axis=2)[:, :, 0].swapaxes(0, 1)
+    if w.ndim == 1:
+        out = out[:, 0]
+    return out if T.lower.ndim > 1 else out[0]

@@ -12,14 +12,14 @@ box, and reduce those values to a bound.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import attack as attack_mod
-from .net import Network
+from .net import Network, ShapeError
 from .posterior import (Posterior, WeightBox, box_mass, disjointify,
-                        inclusion_exclusion, make_box, sample, stack_boxes)
+                        inclusion_exclusion, make_box, sample)
 from .propagate import propagate
 from .spec import InputBox, OutputSpec, contains, excludes
 
@@ -117,17 +117,21 @@ def box_set(posterior: Posterior, cfg: CertifyConfig) -> BoxSet:
     Bonferroni pricing keeps one copy of each repeated box (an atom drawn
     twice): the union of identical boxes is that box, so this is exact,
     while a truncated inclusion-exclusion over k copies is not."""
-    boxes = [make_box(sample(posterior, (cfg.rng_seed, i)), cfg.gamma,
-                      posterior, cfg.margin_scale)
-             for i in range(cfg.num_samples)]
+    draws = np.reshape([sample(posterior, (cfg.rng_seed, i))
+                        for i in range(cfg.num_samples)],
+                       (cfg.num_samples, posterior.n_weights))
+    stack = make_box(draws, cfg.gamma, posterior, cfg.margin_scale)
     if cfg.bonferroni is None:
-        kept = disjointify(boxes)
+        keep = disjointify(stack.lower, stack.upper)
     else:
-        kept = list({(b.lower.tobytes(), b.upper.tobytes()): b
-                     for b in boxes}.values())
-    stack = stack_boxes(kept, posterior.n_weights)
+        first = {}
+        for i, (lo, hi) in enumerate(zip(stack.lower, stack.upper)):
+            first.setdefault((lo.tobytes(), hi.tobytes()), i)
+        keep = list(first.values())
+    if len(keep) < len(draws):
+        stack = WeightBox(lower=stack.lower[keep], upper=stack.upper[keep])
     return BoxSet(posterior=posterior, boxes=stack,
-                  masses=box_mass(posterior, stack), used=len(boxes),
+                  masses=box_mass(posterior, stack), used=len(draws),
                   built_for=_box_key(cfg))
 
 
@@ -142,52 +146,91 @@ def _boxes_for(posterior: Posterior, cfg: CertifyConfig,
     return boxes
 
 
-def _certificate(prop, direction, value, covered, boxes, kept, t0, cfg,
-                 extra=None) -> Certificate:
-    config = asdict(cfg)
-    config.pop("attack")
+def _certificate(prop, direction, value, covered, boxes, kept, wall_time,
+                 cfg, extra=None) -> Certificate:
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+              if f.name != "attack"}
     return Certificate(property=prop, direction=direction, value=value,
                        covered_mass=covered, boxes_used=boxes.used,
-                       boxes_kept=kept, wall_time=time.perf_counter() - t0,
+                       boxes_kept=kept, wall_time=wall_time,
                        config=config, extra=extra or {})
 
 
-def psafe_lower(net: Network, posterior: Posterior, T: InputBox, S: OutputSpec,
-                cfg: CertifyConfig, boxes: BoxSet | None = None) -> Certificate:
+# The cells of a region batch go through the network in chunks, each
+# holding about this many IBP corner products per weight box, so the
+# memory of a certificate does not grow with the number of regions.
+_CHUNK_ENTRIES = 2 ** 14
+
+
+def _psafe(net, posterior, T: InputBox, S, cfg, boxes, upper: bool):
+    """Both P_safe bounds over a region or a stack of M regions: one flag
+    per (region, box) from ``contains`` (lower) or ``excludes`` at the
+    attack point (upper), reduced to one certificate per region."""
+    t0 = time.perf_counter()
+    boxes = _boxes_for(posterior, cfg, boxes)
+    lo, hi = np.atleast_2d(T.lower), np.atleast_2d(T.upper)
+    if lo.ndim != 2:
+        raise ShapeError("regions must have shape (n_in,) or (M, n_in)")
+    M, K = len(lo), len(boxes.masses)
+    specs = [S] * M if isinstance(S, OutputSpec) else list(S)
+    if len(specs) != M:
+        raise ShapeError(f"{len(specs)} specs for {M} regions")
+    chunk = max(1, _CHUNK_ENTRIES // (max(K, 1) * max(
+        l.rows * l.cols for l in net.layers)))
+    centers = boxes.boxes.center if upper else None
+    acfg = cfg.attack or attack_mod.AttackConfig()
+    flags = []
+    check = excludes if upper else contains
+    for first in range(0, M, chunk):
+        cells = slice(first, first + chunk)
+        if upper:       # the attack point of each (region, box) pair
+            x = attack_mod.pgd(net, centers, InputBox(lower=lo[cells],
+                                                      upper=hi[cells]),
+                               specs[cells], acfg)
+            Tc = InputBox.point(x)
+        else:           # every region against every box
+            Tc = InputBox(lower=lo[cells, None], upper=hi[cells, None])
+        yL, yU = propagate(net, Tc, boxes.boxes, cfg.method)
+        flags += [[float(check(s, a, b)) for a, b in zip(cell_L, cell_U)]
+                  for s, cell_L, cell_U in zip(specs[cells], yL, yU)]
+    bounds = [boxes.mean_bound(f, 0.0, 1.0, lower=True) for f in flags]
+    wall_time = (time.perf_counter() - t0) / max(M, 1)
+    certs = [_certificate("psafe", "upper" if upper else "lower",
+                          1.0 - v if upper else v, covered, boxes,
+                          int(sum(f)), wall_time, cfg)
+             for (v, covered), f in zip(bounds, flags)]
+    return certs if T.lower.ndim > 1 else certs[0]
+
+
+def psafe_lower(net: Network, posterior: Posterior, T: InputBox,
+                S: OutputSpec | list[OutputSpec], cfg: CertifyConfig,
+                boxes: BoxSet | None = None) -> Certificate | list[Certificate]:
     """Sound lower bound: mass of sampled weight boxes whose propagated
     output box lies entirely inside S.
 
+    T is one region (n_in,), with S its spec, and the result one
+    Certificate; or T stacks M regions (M, n_in), S is one spec for all or
+    a sequence of M specs, and the result is a list of M certificates,
+    each equal to a call on its region alone, with ``wall_time`` the
+    batch's time divided by M. The regions go through in chunks of cells.
     ``boxes``, from ``box_set(posterior, cfg)``, saves building the boxes
     again; without it they are built here."""
-    t0 = time.perf_counter()
-    boxes = _boxes_for(posterior, cfg, boxes)
-    yL, yU = propagate(net, T, boxes.boxes, cfg.method)
-    safe = [float(contains(S, a, b)) for a, b in zip(yL, yU)]
-    value, covered = boxes.mean_bound(safe, 0.0, 1.0, lower=True)
-    return _certificate("psafe", "lower", value, covered, boxes,
-                        int(sum(safe)), t0, cfg)
+    return _psafe(net, posterior, T, S, cfg, boxes, upper=False)
 
 
-def psafe_upper(net: Network, posterior: Posterior, T: InputBox, S: OutputSpec,
-                cfg: CertifyConfig, boxes: BoxSet | None = None) -> Certificate:
+def psafe_upper(net: Network, posterior: Posterior, T: InputBox,
+                S: OutputSpec | list[OutputSpec], cfg: CertifyConfig,
+                boxes: BoxSet | None = None) -> Certificate | list[Certificate]:
     """Sound upper bound: 1 minus the mass of boxes certified unsafe.
 
-    Each box's center weight is attacked over T (all centers in one PGD
-    batch); the point found for a box is then propagated jointly with the
-    whole weight box, and the box counts as unsafe only if every weight in
-    it maps that point outside S. A failed attack merely skips the box,
-    which keeps the bound sound (if loose). ``boxes`` is as in
-    ``psafe_lower``.
+    Each box's center weight is attacked over each region (every center
+    and region of a chunk in one PGD batch); the point found is then
+    propagated jointly with the whole weight box, and the box counts as
+    unsafe only if every weight in it maps that point outside S. A failed
+    attack merely skips the box, which keeps the bound sound (if loose).
+    Regions, specs, results and ``boxes`` are as in ``psafe_lower``.
     """
-    t0 = time.perf_counter()
-    boxes = _boxes_for(posterior, cfg, boxes)
-    acfg = cfg.attack or attack_mod.AttackConfig()
-    x_adv = attack_mod.pgd(net, boxes.boxes.center, T, S, acfg)
-    yL, yU = propagate(net, InputBox.point(x_adv), boxes.boxes, cfg.method)
-    unsafe = [float(excludes(S, a, b)) for a, b in zip(yL, yU)]
-    unsafe_mass, covered = boxes.mean_bound(unsafe, 0.0, 1.0, lower=True)
-    return _certificate("psafe", "upper", 1.0 - unsafe_mass, covered, boxes,
-                        int(sum(unsafe)), t0, cfg)
+    return _psafe(net, posterior, T, S, cfg, boxes, upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +299,8 @@ def _dsafe(net, posterior, T, cfg, task, lower: bool, boxes) -> Certificate:
     yL, yU = propagate(net, T, boxes.boxes, cfg.method)
     value, covered = _decision_bound(boxes, yL, yU, task, lo, hi, lower)
     return _certificate("dsafe", "lower" if lower else "upper", value,
-                        covered, boxes, len(boxes.masses), t0, cfg,
+                        covered, boxes, len(boxes.masses),
+                        time.perf_counter() - t0, cfg,
                         extra={"task": task.kind, "index": task.class_index})
 
 

@@ -152,8 +152,9 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _grid_cells(grid):
-    """Yield (cell_id, lower, upper) covering [min, max) per dimension."""
+def _grid_cells(grid) -> InputBox:
+    """The grid's cells, covering [min, max) per dimension, as one stack of
+    input boxes; cell i is row i."""
     try:
         grid = np.asarray(grid, dtype=float)
     except (TypeError, ValueError) as e:
@@ -170,10 +171,8 @@ def _grid_cells(grid):
         n = math.ceil((hi - lo) / width - 1e-9)
         edges = np.arange(lo, hi, width)[:n]
         axes.append([(e, min(e + width, hi)) for e in edges])
-    for cid, combo in enumerate(itertools.product(*axes)):
-        lo = np.array([c[0] for c in combo])
-        hi = np.array([c[1] for c in combo])
-        yield cid, lo, hi
+    cells = np.reshape(list(itertools.product(*axes)), (-1, len(axes), 2))
+    return InputBox(lower=cells[..., 0], upper=cells[..., 1])
 
 
 def cmd_sweep(args) -> int:
@@ -189,22 +188,22 @@ def cmd_sweep(args) -> int:
     elif doc.get("label_rule") != "hcas":
         raise io_mod.FileFormatError("sweep spec needs true_class or "
                                      "label_rule 'hcas'")
+    T = _grid_cells(doc["grid"])
+    if T.dim != net.input_dim:
+        raise ShapeError(f"grid cell has {T.dim} dims, network expects "
+                         f"{net.input_dim}")
+    if "true_class" not in doc:
+        labels = trainer.hcas_label(T.center)
+        specs = {c: argmax_spec(int(c), net.output_dim) for c in set(labels)}
+        S = [specs[c] for c in labels]
     cfg = _certify_config(args)
     boxes = certify_mod.box_set(post, cfg)
+    lowers = certify_mod.psafe_lower(net, post, T, S, cfg, boxes)
+    uppers = certify_mod.psafe_upper(net, post, T, S, cfg, boxes)
     rows = []
     counts = {"safe": 0, "unsafe": 0, "uncertifiable": 0}
-    for cid, lo, hi in _grid_cells(doc["grid"]):
-        T = InputBox(lower=lo, upper=hi)
-        if T.dim != net.input_dim:
-            raise ShapeError(f"grid cell has {T.dim} dims, network expects "
-                             f"{net.input_dim}")
-        if "true_class" not in doc:
-            S = argmax_spec(int(trainer.hcas_label(T.center)), net.output_dim)
-        try:
-            pl = certify_mod.psafe_lower(net, post, T, S, cfg, boxes).value
-            pu = certify_mod.psafe_upper(net, post, T, S, cfg, boxes).value
-        except Exception as e:
-            raise RuntimeError(f"sweep failed at cell {cid}: {e}") from e
+    for cid, (lower, upper) in enumerate(zip(lowers, uppers)):
+        pl, pu = lower.value, upper.value
         if pl >= args.tau_safe:
             verdict = "safe"
         elif pu <= args.tau_unsafe:

@@ -104,13 +104,6 @@ class WeightBox:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    def intersect(self, other: "WeightBox") -> "WeightBox | None":
-        lo = np.maximum(self.lower, other.lower)
-        hi = np.minimum(self.upper, other.upper)
-        if np.any(lo > hi):
-            return None
-        return WeightBox(lower=lo, upper=hi)
-
 
 def sample(posterior: Posterior, rng_seed) -> np.ndarray:
     """Draw one weight vector; the seed fully determines the draw."""
@@ -123,7 +116,8 @@ def sample(posterior: Posterior, rng_seed) -> np.ndarray:
 
 def make_box(w: np.ndarray, gamma: float, posterior: Posterior,
              margin_scale: str = "std") -> WeightBox:
-    """Axis-aligned box of half-width gamma (in posterior scale) around w.
+    """Axis-aligned box of half-width gamma (in posterior scale) around w,
+    or a stack of boxes around the rows of w, shape (N, n_w).
 
     margin_scale 'std' uses gamma standard deviations per weight, 'var' uses
     gamma times the variance. Sample-based posteriors always get zero-width
@@ -131,7 +125,7 @@ def make_box(w: np.ndarray, gamma: float, posterior: Posterior,
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    w = np.asarray(w, dtype=float).reshape(-1)
+    w = np.asarray(w, dtype=float)
     if isinstance(posterior, SamplePosterior):
         return WeightBox(lower=w, upper=w)
     if margin_scale == "std":
@@ -232,19 +226,15 @@ def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
     return float(np.clip(lower, 0.0, 1.0)), float(np.clip(upper, 0.0, 1.0))
 
 
-def disjointify(boxes: list[WeightBox]) -> list[WeightBox]:
-    """Greedy pairwise-disjoint subset: keep each box unless it intersects an
-    already-kept one. Earlier boxes win, so results are order-dependent but
-    deterministic. Each candidate is tested against the whole kept stack
-    in one array expression: boxes meet iff each one's lower corner lies
-    below the other's upper corner."""
-    n = boxes[0].lower.size if boxes else 0
-    lower, upper = np.empty((2, len(boxes), n))    # the kept boxes, in order
-    kept: list[WeightBox] = []
-    for b in boxes:
-        k = len(kept)
-        if not np.any(np.all((lower[:k] <= b.upper) & (b.lower <= upper[:k]),
-                             axis=1)):
-            lower[k], upper[k] = b.lower, b.upper
-            kept.append(b)
-    return kept
+def disjointify(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Row indices of a greedy pairwise-disjoint subset of the boxes
+    [lower[i], upper[i]]: keep each box unless it intersects an already-kept
+    one. Earlier boxes win, so results are order-dependent but
+    deterministic. Each candidate is tested against every earlier box in
+    one array expression, masked to the kept ones: boxes meet iff each
+    one's lower corner lies below the other's upper corner."""
+    kept = np.zeros(len(lower), dtype=bool)
+    for i in range(len(lower)):
+        meets = np.all((lower[:i] <= upper[i]) & (lower[i] <= upper[:i]), axis=1)
+        kept[i] = not np.any(meets & kept[:i])
+    return np.flatnonzero(kept)

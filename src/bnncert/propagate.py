@@ -37,23 +37,27 @@ def _bilinear_interval(WL, WU, bL, bU, zL, zU):
     """Interval of W z + b when both W and z live in boxes.
 
     Each monomial attains its extremes at a corner of
-    [WL_ij, WU_ij] x [zL_j, zU_j]. The corner products are elementwise and
-    the sums run over the last axis, so each box of a stack gets the same
-    bits as on its own.
+    [WL_ij, WU_ij] x [zL_j, zU_j]. The corner products are elementwise,
+    folded into the running min and max one corner at a time (three arrays
+    live at once), and the sums run over the last axis, so each box of a
+    stack gets the same bits as on its own.
     """
     zL, zU = zL[..., None, :], zU[..., None, :]
-    corners = np.stack([WL * zL, WL * zU, WU * zL, WU * zU])
-    tL = corners.min(axis=0)
-    tU = corners.max(axis=0)
+    tL = WL * zL
+    tU, corner = tL.copy(), np.empty_like(tL)
+    for W, z in ((WL, zU), (WU, zL), (WU, zU)):
+        np.multiply(W, z, out=corner)
+        np.minimum(tL, corner, out=tL)
+        np.maximum(tU, corner, out=tU)
     return tL.sum(axis=-1) + bL, tU.sum(axis=-1) + bU
 
 
 def ibp_layer_intervals(net: Network, T: InputBox, R: WeightBox):
     """Pre-activation intervals (zetaL, zetaU) for every layer, last included.
 
-    T and R may each carry a leading axis of K boxes; box k of one pairs
-    with box k of the other (or with the single box), and every interval
-    gets the same leading axis.
+    The leading axes of T broadcast against R's axis of K boxes, and every
+    interval gets the broadcast axes: a (K, n_in) stack pairs box k with
+    box k, and M regions shaped (M, 1, n_in) meet every box, (M, K, n_out).
     """
     if T.dim != net.input_dim:
         raise ShapeError(f"input box dim {T.dim} != network input dim {net.input_dim}")
@@ -281,28 +285,25 @@ def lbp_forward(net: Network, T: InputBox, R: WeightBox):
     return yL, yU
 
 
-def _row(box, k):
-    """Box k of a stack, or the box itself when it is a single box."""
-    if box.lower.ndim == 1:
-        return box
-    return type(box)(lower=box.lower[k], upper=box.upper[k])
-
-
 def propagate(net: Network, T: InputBox, R: WeightBox, method: str = "ibp"):
     """Dispatch to the named propagation method.
 
-    T and R may carry a leading axis of K boxes, as ``ibp_layer_intervals``
-    takes them; the output bounds then have shape (K, n_out). IBP bounds
-    the whole stack in one pass, LBP one box pair at a time.
+    T and R may carry leading axes, which broadcast as in
+    ``ibp_layer_intervals``; the output bounds have the broadcast axes,
+    shape (..., n_out). IBP bounds every pair in one pass, LBP one pair at
+    a time.
     """
     if method == "ibp":
         return ibp_forward(net, T, R)
     if method != "lbp":
         raise ValueError(f"unknown propagation method {method!r}")
-    stacked = [b.lower.shape[0] for b in (T, R) if b.lower.ndim > 1]
-    if not stacked:
+    lead = np.broadcast_shapes(T.lower.shape[:-1], R.lower.shape[:-1])
+    if not lead:
         return lbp_forward(net, T, R)
-    yL, yU = np.empty((2, stacked[0], net.output_dim))
-    for k in range(stacked[0]):
-        yL[k], yU[k] = lbp_forward(net, _row(T, k), _row(R, k))
+    Ts = [np.broadcast_to(a, (*lead, a.shape[-1])) for a in (T.lower, T.upper)]
+    Rs = [np.broadcast_to(a, (*lead, a.shape[-1])) for a in (R.lower, R.upper)]
+    yL, yU = np.empty((2, *lead, net.output_dim))
+    for k in np.ndindex(lead):
+        yL[k], yU[k] = lbp_forward(net, InputBox(Ts[0][k], Ts[1][k]),
+                                   WeightBox(Rs[0][k], Rs[1][k]))
     return yL, yU

@@ -15,8 +15,8 @@ from .net import ShapeError
 
 @dataclass(frozen=True, eq=False)
 class InputBox:
-    """An axis-aligned input box, or a stack of K boxes when ``lower`` and
-    ``upper`` have shape (K, n_in)."""
+    """An axis-aligned input box, or a stack of boxes when ``lower`` and
+    ``upper`` carry leading axes, shape (..., n_in)."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -26,8 +26,8 @@ class InputBox:
         hi = np.asarray(self.upper, dtype=float)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if lo.shape != hi.shape or lo.ndim not in (1, 2):
-            raise ShapeError("box bounds must have equal shapes, (n_in,) or (K, n_in)")
+        if lo.shape != hi.shape or lo.ndim < 1:
+            raise ShapeError("box bounds must have equal shapes, (..., n_in)")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("box bounds must be finite")
         if np.any(lo > hi):

@@ -192,22 +192,21 @@ class TestBonferroni:
         assert bonferroni_bounds([], STD_NORMAL, 2, 1) == (0.0, 0.0)
 
 
+def boxes_1d(*intervals):
+    """(lower, upper) row stacks of one-dimensional boxes."""
+    lo, hi = np.array(intervals, dtype=float).T
+    return lo[:, None], hi[:, None]
+
+
 class TestDisjointify:
     def test_disjoint_unchanged(self):
-        boxes = [WeightBox(lower=np.array([0.0]), upper=np.array([1.0])),
-                 WeightBox(lower=np.array([2.0]), upper=np.array([3.0]))]
-        assert disjointify(boxes) == boxes
+        assert list(disjointify(*boxes_1d((0, 1), (2, 3)))) == [0, 1]
 
     def test_overlap_keeps_earlier(self):
-        a = WeightBox(lower=np.array([0.0]), upper=np.array([2.0]))
-        b = WeightBox(lower=np.array([1.0]), upper=np.array([3.0]))
-        assert disjointify([a, b]) == [a]
+        assert list(disjointify(*boxes_1d((0, 2), (1, 3)))) == [0]
 
     def test_third_box_dropped(self):
-        a = WeightBox(lower=np.array([0.0]), upper=np.array([1.0]))
-        b = WeightBox(lower=np.array([2.0]), upper=np.array([3.0]))
-        c = WeightBox(lower=np.array([0.5]), upper=np.array([2.5]))
-        assert disjointify([a, b, c]) == [a, b]
+        assert list(disjointify(*boxes_1d((0, 1), (2, 3), (0.5, 2.5)))) == [0, 1]
 
 
 def test_sample_posterior_validation():

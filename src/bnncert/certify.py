@@ -135,17 +135,6 @@ def box_set(posterior: Posterior, cfg: CertifyConfig) -> BoxSet:
                   built_for=_box_key(cfg))
 
 
-def _boxes_for(posterior: Posterior, cfg: CertifyConfig,
-               boxes: BoxSet | None) -> BoxSet:
-    if boxes is None:
-        return box_set(posterior, cfg)
-    if boxes.posterior is not posterior or boxes.built_for != _box_key(cfg):
-        raise ValueError("box set was built for another posterior or for "
-                         "other num_samples/gamma/margin_scale/rng_seed/"
-                         "bonferroni values")
-    return boxes
-
-
 def _certificate(prop, direction, value, covered, boxes, kept, wall_time,
                  cfg, extra=None) -> Certificate:
     config = {f.name: getattr(cfg, f.name) for f in fields(cfg)
@@ -162,43 +151,61 @@ def _certificate(prop, direction, value, covered, boxes, kept, wall_time,
 _CHUNK_ENTRIES = 2 ** 14
 
 
-def _psafe(net, posterior, T: InputBox, S, cfg, boxes, upper: bool):
-    """Both P_safe bounds over a region or a stack of M regions: one flag
-    per (region, box) from ``contains`` (lower) or ``excludes`` at the
-    attack point (upper), reduced to one certificate per region."""
+def _over_regions(net, posterior, T: InputBox, S, cfg, boxes, score,
+                  attack: bool = False):
+    """The one propagate-and-reduce body behind every certificate: regions
+    T, (n_in,) or (M, n_in), with specs S (one, M or None) meet every box in
+    chunks (with ``attack``, at each pair's PGD point from the box center),
+    and ``score(boxes, specs, yL, yU)`` turns a chunk's (m, K, n_out) output
+    boxes into one entry per region. Returns boxes, entries, time/region."""
     t0 = time.perf_counter()
-    boxes = _boxes_for(posterior, cfg, boxes)
+    if boxes is None:
+        boxes = box_set(posterior, cfg)
+    elif boxes.posterior is not posterior or boxes.built_for != _box_key(cfg):
+        raise ValueError("box set was built for another posterior or for "
+                         "other num_samples/gamma/margin_scale/rng_seed/"
+                         "bonferroni values")
     lo, hi = np.atleast_2d(T.lower), np.atleast_2d(T.upper)
     if lo.ndim != 2:
         raise ShapeError("regions must have shape (n_in,) or (M, n_in)")
     M, K = len(lo), len(boxes.masses)
-    specs = [S] * M if isinstance(S, OutputSpec) else list(S)
+    specs = [S] * M if S is None or isinstance(S, OutputSpec) else list(S)
     if len(specs) != M:
         raise ShapeError(f"{len(specs)} specs for {M} regions")
     chunk = max(1, _CHUNK_ENTRIES // (max(K, 1) * max(
         l.rows * l.cols for l in net.layers)))
-    centers = boxes.boxes.center if upper else None
-    acfg = cfg.attack or attack_mod.AttackConfig()
-    flags = []
-    check = excludes if upper else contains
+    entries = []
     for first in range(0, M, chunk):
         cells = slice(first, first + chunk)
-        if upper:       # the attack point of each (region, box) pair
-            x = attack_mod.pgd(net, centers, InputBox(lower=lo[cells],
-                                                      upper=hi[cells]),
-                               specs[cells], acfg)
+        if attack:
+            x = attack_mod.pgd(net, boxes.boxes.center, InputBox(
+                lower=lo[cells], upper=hi[cells]), specs[cells],
+                cfg.attack or attack_mod.AttackConfig())
             Tc = InputBox.point(x)
-        else:           # every region against every box
+        else:
             Tc = InputBox(lower=lo[cells, None], upper=hi[cells, None])
         yL, yU = propagate(net, Tc, boxes.boxes, cfg.method)
-        flags += [[float(check(s, a, b)) for a, b in zip(cell_L, cell_U)]
-                  for s, cell_L, cell_U in zip(specs[cells], yL, yU)]
-    bounds = [boxes.mean_bound(f, 0.0, 1.0, lower=True) for f in flags]
-    wall_time = (time.perf_counter() - t0) / max(M, 1)
+        entries += score(boxes, specs[cells], yL, yU)
+    return boxes, entries, (time.perf_counter() - t0) / max(M, 1)
+
+
+def _psafe(net, posterior, T: InputBox, S, cfg, boxes, upper: bool):
+    """Both P_safe bounds: one flag per (region, box) from ``contains``
+    (lower) or ``excludes`` at the attack point (upper)."""
+    check = excludes if upper else contains
+
+    def score(boxes, specs, yL, yU):
+        flags = [[float(check(s, a, b)) for a, b in zip(cell_L, cell_U)]
+                 for s, cell_L, cell_U in zip(specs, yL, yU)]
+        return [(*boxes.mean_bound(f, 0.0, 1.0, lower=True), int(sum(f)))
+                for f in flags]
+
+    boxes, bounds, wall_time = _over_regions(net, posterior, T, S, cfg,
+                                             boxes, score, attack=upper)
     certs = [_certificate("psafe", "upper" if upper else "lower",
-                          1.0 - v if upper else v, covered, boxes,
-                          int(sum(f)), wall_time, cfg)
-             for (v, covered), f in zip(bounds, flags)]
+                          1.0 - v if upper else v, covered, boxes, kept,
+                          wall_time, cfg)
+             for v, covered, kept in bounds]
     return certs if T.lower.ndim > 1 else certs[0]
 
 
@@ -237,18 +244,24 @@ def psafe_upper(net: Network, posterior: Posterior, T: InputBox,
 # Decision robustness
 
 
-def output_worst(yL: np.ndarray, yU: np.ndarray, c: int) -> float:
-    """Sound lower bound on softmax_c over a logit box: own lower logit
-    against every other class's upper logit, evaluated in log space."""
+def output_worst(yL: np.ndarray, yU: np.ndarray, c: int | None = None):
+    """Sound lower bound on softmax_c over logit boxes (..., n_out): own
+    lower logit against every other class's upper logit (gathered in order,
+    so each sum has a scalar evaluation's bits), in log space. Every class,
+    (..., n_out), without ``c``; class c's alone with it."""
     yL = np.asarray(yL, dtype=float)
     yU = np.asarray(yU, dtype=float)
-    others = np.delete(yU, c)
-    m = max(float(yL[c]), float(others.max())) if others.size else float(yL[c])
-    denom = np.exp(yL[c] - m) + np.exp(others - m).sum()
-    return float(np.exp(yL[c] - m) / denom)
+    n = yL.shape[-1]
+    idx = np.array([[j for j in range(n) if j != k] for k in range(n)],
+                   dtype=int).reshape(n, n - 1)
+    others = yU[..., idx]                                # (..., n, n - 1)
+    m = np.maximum(yL, others.max(axis=-1, initial=-np.inf))
+    own = np.exp(yL - m)
+    p = own / (own + np.exp(others - m[..., None]).sum(axis=-1))
+    return p if c is None else np.take(p, c, axis=-1)
 
 
-def output_best(yL: np.ndarray, yU: np.ndarray, c: int) -> float:
+def output_best(yL: np.ndarray, yU: np.ndarray, c: int | None = None):
     """Mirror of output_worst: own upper logit against other lower logits."""
     return output_worst(yU, yL, c)
 
@@ -267,74 +280,69 @@ class Task:
         return Task(kind="regression", class_index=index)
 
 
-def _sigma_range(task: Task, cfg: CertifyConfig):
+def _dsafe(net, posterior, T, cfg, task, lower: bool, boxes):
+    """One D_safe bound per region: each box's least (lower) or greatest
+    (upper) task output over its output box, reduced by ``mean_bound``."""
     if task.kind == "classification":
-        return 0.0, 1.0
-    if cfg.sigma_floor is None or cfg.sigma_ceil is None:
+        lo, hi = 0.0, 1.0
+    elif cfg.sigma_floor is None or cfg.sigma_ceil is None:
         raise ValueError("regression decision bounds need explicit "
                          "sigma_floor/sigma_ceil output-range limits")
-    return float(cfg.sigma_floor), float(cfg.sigma_ceil)
-
-
-def _decision_bound(boxes: BoxSet, yL, yU, task: Task, lo: float, hi: float,
-                    lower: bool) -> tuple[float, float]:
-    """Bound on one output's posterior-predictive mean, known to lie in
-    [lo, hi], from the per-box output boxes [yL[i], yU[i]]; returns the
-    value and the covered mass."""
-    c = task.class_index
-    if task.kind == "classification":
-        psi = [output_worst(a, b, c) if lower else output_best(a, b, c)
-               for a, b in zip(yL, yU)]
-    elif lower:
-        psi = [max(float(a[c]), lo) for a in yL]
     else:
-        psi = [min(float(b[c]), hi) for b in yU]
-    return boxes.mean_bound(psi, lo, hi, lower)
+        lo, hi = float(cfg.sigma_floor), float(cfg.sigma_ceil)
+    c = task.class_index
 
+    def score(boxes, specs, yL, yU):
+        if task.kind == "classification":
+            psi = (output_worst if lower else output_best)(yL, yU)[..., c]
+        elif lower:
+            psi = np.maximum(yL[..., c], lo)
+        else:
+            psi = np.minimum(yU[..., c], hi)
+        return [boxes.mean_bound(p, lo, hi, lower) for p in psi]
 
-def _dsafe(net, posterior, T, cfg, task, lower: bool, boxes) -> Certificate:
-    t0 = time.perf_counter()
-    lo, hi = _sigma_range(task, cfg)
-    boxes = _boxes_for(posterior, cfg, boxes)
-    yL, yU = propagate(net, T, boxes.boxes, cfg.method)
-    value, covered = _decision_bound(boxes, yL, yU, task, lo, hi, lower)
-    return _certificate("dsafe", "lower" if lower else "upper", value,
-                        covered, boxes, len(boxes.masses),
-                        time.perf_counter() - t0, cfg,
-                        extra={"task": task.kind, "index": task.class_index})
+    boxes, bounds, wall_time = _over_regions(net, posterior, T, None, cfg,
+                                             boxes, score)
+    certs = [_certificate("dsafe", "lower" if lower else "upper", v, covered,
+                          boxes, len(boxes.masses), wall_time, cfg,
+                          extra={"task": task.kind, "index": c})
+             for v, covered in bounds]
+    return certs if T.lower.ndim > 1 else certs[0]
 
 
 def dsafe_lower(net: Network, posterior: Posterior, T: InputBox,
                 cfg: CertifyConfig, task: Task,
-                boxes: BoxSet | None = None) -> Certificate:
+                boxes: BoxSet | None = None) -> Certificate | list[Certificate]:
     """Sound lower bound on the posterior-predictive decision for one output;
-    ``boxes`` is as in ``psafe_lower``."""
+    T, the result and ``boxes`` are as in ``psafe_lower``."""
     return _dsafe(net, posterior, T, cfg, task, True, boxes)
 
 
 def dsafe_upper(net: Network, posterior: Posterior, T: InputBox,
                 cfg: CertifyConfig, task: Task,
-                boxes: BoxSet | None = None) -> Certificate:
+                boxes: BoxSet | None = None) -> Certificate | list[Certificate]:
     """Sound upper bound on the posterior-predictive decision for one output;
-    ``boxes`` is as in ``psafe_lower``."""
+    T, the result and ``boxes`` are as in ``psafe_lower``."""
     return _dsafe(net, posterior, T, cfg, task, False, boxes)
 
 
 def dsafe_bounds_all_classes(net: Network, posterior: Posterior, T: InputBox,
                              cfg: CertifyConfig, boxes: BoxSet | None = None):
     """Per-class decision bounds sharing one box set and one propagation
-    pass; ``boxes`` is as in ``psafe_lower``.
+    pass, as (lowers, uppers) arrays of shape (output_dim,) for one region
+    or (M, output_dim) for M; T and ``boxes`` are as in ``psafe_lower``."""
+    n_out = net.output_dim
 
-    Returns (lowers, uppers) arrays of length output_dim.
-    """
-    boxes = _boxes_for(posterior, cfg, boxes)
-    yL, yU = propagate(net, T, boxes.boxes, cfg.method)
-    tasks = [Task.classification(c) for c in range(net.output_dim)]
-    lowers = np.array([_decision_bound(boxes, yL, yU, t, 0.0, 1.0, True)[0]
-                       for t in tasks])
-    uppers = np.array([_decision_bound(boxes, yL, yU, t, 0.0, 1.0, False)[0]
-                       for t in tasks])
-    return lowers, uppers
+    def score(boxes, specs, yL, yU):
+        return [[[boxes.mean_bound(p[:, c], 0.0, 1.0, lower)[0]
+                  for c in range(n_out)]
+                 for p, lower in ((worst, True), (best, False))]
+                for worst, best in zip(output_worst(yL, yU),
+                                       output_best(yL, yU))]
+
+    _, bounds, _ = _over_regions(net, posterior, T, None, cfg, boxes, score)
+    bounds = np.reshape(bounds, T.lower.shape[:-1] + (2, n_out))
+    return bounds[..., 0, :], bounds[..., 1, :]
 
 
 def decision_robust(net: Network, posterior: Posterior, T: InputBox,
@@ -346,6 +354,8 @@ def decision_robust(net: Network, posterior: Posterior, T: InputBox,
     some other class certifiably dominates, 'unknown' otherwise. Ties are
     not certified.
     """
+    if T.lower.ndim != 1:
+        raise ShapeError("decision_robust takes one region, shape (n_in,)")
     lowers, uppers = dsafe_bounds_all_classes(net, posterior, T, cfg)
     others = [j for j in range(net.output_dim) if j != true_class]
     if lowers[true_class] > 0.5:
@@ -362,6 +372,8 @@ def uncertainty_check(net: Network, posterior: Posterior, T: InputBox,
     """True iff no class's predictive mean can reach tau_uncertain on T."""
     if not 0.0 < tau_uncertain < 1.0:
         raise ValueError("tau_uncertain must lie in (0, 1)")
+    if T.lower.ndim != 1:
+        raise ShapeError("uncertainty_check takes one region, shape (n_in,)")
     _, uppers = dsafe_bounds_all_classes(net, posterior, T, cfg)
     return bool(np.all(uppers < tau_uncertain))
 

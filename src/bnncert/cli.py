@@ -8,6 +8,7 @@ specifications travel as JSON files, tabular results as CSV. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -52,7 +53,9 @@ def _add_certify_flags(p):
     p.add_argument("--out", default=None)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once: each build grows the process's peak RSS."""
     p = _Parser(prog="bnncert",
                 description="Certify adversarial robustness of Bayesian "
                             "neural networks over input boxes.")

@@ -128,9 +128,5 @@ def load_spec(path, n_outputs: int | None = None):
     return T, S, meta
 
 
-def save_certificate(path, cert: Certificate) -> None:
-    Path(path).write_text(json.dumps(cert.to_dict()))
-
-
 def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(cert.to_dict(), indent=2)

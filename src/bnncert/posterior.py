@@ -200,13 +200,6 @@ def inclusion_exclusion(boxes: WeightBox, masses, values, pick,
     return float(acc), float(total)
 
 
-def stack_boxes(boxes: list[WeightBox], n_weights: int) -> WeightBox:
-    """The boxes as one stacked WeightBox of shape (len(boxes), n_weights)."""
-    shape = (len(boxes), n_weights)
-    return WeightBox(lower=np.reshape([b.lower for b in boxes], shape),
-                     upper=np.reshape([b.upper for b in boxes], shape))
-
-
 def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
                       depth_lower: int = 2, depth_upper: int = 1) -> tuple[float, float]:
     """Two-sided bounds on the posterior mass of a union of (possibly
@@ -216,7 +209,9 @@ def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
         raise ValueError("depth_lower must be an even integer >= 2")
     if depth_upper % 2 != 1 or depth_upper < 1:
         raise ValueError("depth_upper must be an odd integer >= 1")
-    stack = stack_boxes(boxes, posterior.n_weights)
+    shape = (len(boxes), posterior.n_weights)
+    stack = WeightBox(lower=np.reshape([b.lower for b in boxes], shape),
+                      upper=np.reshape([b.upper for b in boxes], shape))
     masses = box_mass(posterior, stack)
     ones = [1.0] * len(boxes)
     _, lower = inclusion_exclusion(stack, masses, ones, min, posterior,

@@ -41,15 +41,8 @@ class InputBox:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
-
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
 
     @staticmethod
     def point(x) -> "InputBox":

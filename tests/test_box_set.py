@@ -17,8 +17,7 @@ from bnncert.certify import (CertifyConfig, Task, box_set,
                              dsafe_upper, psafe_lower, psafe_upper)
 from bnncert.net import Network, backprop
 from bnncert.posterior import (GaussianPosterior, SamplePosterior, WeightBox,
-                               box_mass, disjointify, make_box, sample,
-                               stack_boxes)
+                               box_mass, disjointify, make_box, sample)
 from bnncert.propagate import ibp_forward, lbp_forward, propagate
 from bnncert.search import (RadiusSearchConfig, max_robust_radius,
                             min_unrobust_radius)
@@ -77,7 +76,9 @@ def test_batched_gaussian_box_mass_equals_per_box(rng):
                      [(0.0, "std"), (0.5, "std"), (2.5, "std"), (1.0, "var")])]
         # A box far in the tail, whose per-dimension masses underflow to 0.
         boxes.append(WeightBox(lower=post.mean + 60.0, upper=post.mean + 61.0))
-        masses = box_mass(post, stack_boxes(boxes, n))
+        stack = WeightBox(np.stack([b.lower for b in boxes]),
+                          np.stack([b.upper for b in boxes]))
+        masses = box_mass(post, stack)
         assert masses.shape == (len(boxes),) and masses[-1] == 0.0
         assert np.array_equal(masses, [box_mass(post, b) for b in boxes])
 
@@ -85,7 +86,9 @@ def test_batched_gaussian_box_mass_equals_per_box(rng):
 def test_sample_box_mass_over_a_stack(rng):
     post = SamplePosterior(samples=rng.normal(size=(6, 4)))
     boxes = [make_box(sample(post, (0, i)), 0.0, post) for i in range(8)]
-    masses = box_mass(post, stack_boxes(boxes, 4))
+    stack = WeightBox(np.stack([b.lower for b in boxes]),
+                      np.stack([b.upper for b in boxes]))
+    masses = box_mass(post, stack)
     assert np.array_equal(masses, [box_mass(post, b) for b in boxes])
 
 

@@ -92,7 +92,37 @@ class TestPsafeUpper:
             assert lo.value <= up.value + 1e-12
 
 
+def scalar_worst(yL, yU, c):
+    """The per-class formula the batched bound replaced: class c's lower
+    logit against the upper logits of the others, picked with np.delete."""
+    others = np.delete(yU, c)
+    m = max(float(yL[c]), float(others.max())) if others.size else float(yL[c])
+    denom = np.exp(yL[c] - m) + np.exp(others - m).sum()
+    return float(np.exp(yL[c] - m) / denom)
+
+
 class TestOutputWorstBest:
+    def test_every_class_at_once_equals_the_scalar_formula(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 12):
+            for scale in (1.0, 40.0, 800.0):
+                yL = rng.uniform(-scale, scale, (12, n))
+                yU = np.minimum(yL + rng.uniform(0, scale, (12, n)), 800.0)
+                yU[0] = yL[0]                        # a point box
+                yL[1], yU[1] = scale, scale          # every logit tied
+                worst, best = output_worst(yL, yU), output_best(yL, yU)
+                assert worst.shape == best.shape == (12, n)
+                assert np.array_equal(worst, [[scalar_worst(a, b, c)
+                                               for c in range(n)]
+                                              for a, b in zip(yL, yU)])
+                assert np.array_equal(best, [[scalar_worst(b, a, c)
+                                              for c in range(n)]
+                                             for a, b in zip(yL, yU)])
+                for c in range(n):
+                    assert np.array_equal(output_worst(yL, yU, c), worst[:, c])
+                    one = output_best(yL[2], yU[2], c)
+                    assert isinstance(one, float) and one == best[2, c]
+
     def test_degenerate_symmetric(self):
         assert output_worst([0, 0], [0, 0], 0) == pytest.approx(0.5)
         assert output_best([0, 0], [0, 0], 0) == pytest.approx(0.5)

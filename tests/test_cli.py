@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from bnncert import cli
 from bnncert.cli import main
 from bnncert.io import load_posterior, save_posterior, save_spec
 from bnncert.net import LayerSpec, Network
@@ -31,6 +32,21 @@ def spec_file(tmp_path):
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr()
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, tmp_path,
+                                                 safe_posterior_file,
+                                                 spec_file):
+    cli.build_parser.cache_clear()
+    argv = ["certify", "--posterior", safe_posterior_file, "--spec", spec_file]
+    out = tmp_path / "cert.json"
+    code, first = run(capsys, *argv, "--out", str(out))
+    assert code == 0 and first.out == ""
+    # The second call gives no --out, so it writes to stdout.
+    code, second = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(second.out)["value"] == json.loads(out.read_text())["value"]
+    assert cli.build_parser.cache_info().misses == 1
 
 
 class TestCertifyCommand:

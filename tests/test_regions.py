@@ -1,4 +1,5 @@
-"""A region axis through IBP, LBP, PGD and the P_safe certificates.
+"""A region axis through IBP, LBP, PGD and the P_safe and D_safe
+certificates.
 
 A stack of M regions must give every region the certificate, the output
 bounds and the attack points that a call on that region alone gives, in
@@ -12,7 +13,10 @@ import pytest
 
 from bnncert import attack, certify
 from bnncert.attack import AttackConfig, pgd
-from bnncert.certify import CertifyConfig, box_set, psafe_lower, psafe_upper
+from bnncert.certify import (CertifyConfig, Task, box_set, decision_robust,
+                             dsafe_bounds_all_classes, dsafe_lower,
+                             dsafe_upper, psafe_lower, psafe_upper,
+                             uncertainty_check)
 from bnncert.cli import _grid_cells
 from bnncert.net import Network, ShapeError
 from bnncert.posterior import GaussianPosterior, WeightBox
@@ -49,6 +53,27 @@ def assert_batch_equals_single_calls(net, post, T, S, cfg):
     return batch
 
 
+def assert_dsafe_batch_equals_single_calls(net, post, T, cfg, tasks):
+    """D_safe certificates and all-class bounds of a region stack equal the
+    calls on each region alone; returns the stack's all-class bounds."""
+    boxes = box_set(post, cfg)
+    for task in tasks:
+        for fn in (dsafe_lower, dsafe_upper):
+            batch = fn(net, post, T, cfg, task, boxes)
+            assert isinstance(batch, list) and len(batch) == len(T.lower)
+            for cert, Tm in zip(batch, regions(T)):
+                one = fn(net, post, Tm, cfg, task, boxes)
+                assert (cert.value, cert.covered_mass, cert.boxes_kept,
+                        cert.extra) == \
+                    (one.value, one.covered_mass, one.boxes_kept, one.extra)
+    lowers, uppers = dsafe_bounds_all_classes(net, post, T, cfg, boxes)
+    assert lowers.shape == uppers.shape == (len(T.lower), net.output_dim)
+    for lo, up, Tm in zip(lowers, uppers, regions(T)):
+        one = dsafe_bounds_all_classes(net, post, Tm, cfg, boxes)
+        assert np.array_equal(lo, one[0]) and np.array_equal(up, one[1])
+    return lowers, uppers
+
+
 @pytest.fixture(scope="module")
 def hmc_hcas_atoms():
     """An HMC atom posterior on [4,8,5]: 16 draws at gamma 0 certify some
@@ -68,6 +93,47 @@ def test_atom_sweep_batch_equals_per_cell_calls(hmc_hcas_atoms):
     lowers = psafe_lower(net, post, T, hcas_specs(T), cfg)
     assert len({c.value for c in lowers}) > 2      # not a vacuous sweep
     assert len({c.value for c in uppers}) > 2
+
+
+def test_atom_dsafe_batch_equals_per_cell_calls(hmc_hcas_atoms):
+    net, post = hmc_hcas_atoms
+    T = _grid_cells(HCAS_GRID)
+    cfg = CertifyConfig(num_samples=16, gamma=0.0, rng_seed=0)
+    tasks = [Task.classification(0), Task.classification(3)]
+    lowers, uppers = assert_dsafe_batch_equals_single_calls(net, post, T, cfg,
+                                                            tasks)
+    assert len(set(lowers[:, 0])) > 2 and len(set(uppers[:, 3])) > 2
+
+
+@pytest.mark.parametrize("method, bonferroni", [("ibp", None), ("lbp", None),
+                                                ("ibp", 2)],
+                         ids=["ibp", "lbp", "bonferroni"])
+def test_gaussian_dsafe_batch_equals_per_cell_calls(method, bonferroni):
+    rng = np.random.default_rng(5)
+    net = Network.dense([4, 6, 5], activation="tanh")
+    post = GaussianPosterior(mean=rng.normal(0, 0.5, net.n_weights),
+                             variance=np.full(net.n_weights, 0.01))
+    T = _grid_cells([[-1, 1, 0.5], [-1, 1, 1.0], [-1, 1, 2.0], [-1, 1, 2.0]])
+    cfg = CertifyConfig(num_samples=3, gamma=1.0, method=method,
+                        bonferroni=bonferroni, rng_seed=2, sigma_floor=-2.0,
+                        sigma_ceil=2.0)
+    tasks = [Task.classification(1), Task.regression(4)]
+    assert_dsafe_batch_equals_single_calls(net, post, T, cfg, tasks)
+
+
+def test_decision_checks_take_one_region():
+    net = Network.dense([2, 2])
+    post = GaussianPosterior(mean=np.zeros(6), variance=np.ones(6))
+    T = InputBox(lower=np.zeros((2, 2)), upper=np.ones((2, 2)))
+    cfg = CertifyConfig(num_samples=2)
+    with pytest.raises(ShapeError, match="takes one region"):
+        decision_robust(net, post, T, 0, cfg)
+    with pytest.raises(ShapeError, match="takes one region"):
+        uncertainty_check(net, post, T, 0.5, cfg)
+    empty = InputBox(lower=np.zeros((0, 2)), upper=np.zeros((0, 2)))
+    assert dsafe_lower(net, post, empty, cfg, Task.classification(0)) == []
+    lowers, uppers = dsafe_bounds_all_classes(net, post, empty, cfg)
+    assert lowers.shape == uppers.shape == (0, 2)
 
 
 def test_gaussian_lbp_sweep_batch_equals_per_cell_calls():
@@ -186,6 +252,18 @@ def test_one_pgd_and_propagate_call_per_chunk(hcas_sized, monkeypatch):
     calls.clear()
     psafe_lower(net, post, T, S, cfg, boxes)
     assert calls == [("propagate", n) for n in chunks]
+
+
+def test_one_propagate_call_per_chunk_for_dsafe(hcas_sized, monkeypatch):
+    net, post, T, _, cfg, boxes = hcas_sized
+    calls = []
+
+    def counted(*args, _real=certify.propagate):
+        calls.append(len(args[1].lower))
+        return _real(*args)
+    monkeypatch.setattr(certify, "propagate", counted)
+    dsafe_bounds_all_classes(net, post, T, cfg, boxes)
+    assert calls == [26, 26, 26, 22]
 
 
 def test_sweep_memory_does_not_grow_with_the_cells(hcas_sized):

@@ -74,10 +74,10 @@ def _box_key(cfg: CertifyConfig) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class BoxSet:
-    """The kept weight boxes of one job, stacked, and each box's posterior
-    mass (integrated once).
+    """The kept weight boxes of one job, stacked, each box's posterior mass
+    and the Bonferroni terms of their intersections (integrated once).
 
-    Boxes and masses do not depend on the input region, so one set serves
+    Boxes, masses and terms do not depend on the input region, so one set serves
     every certificate of a job: each step of a radius search, each cell of
     a sweep. It records the posterior and the config fields it was built
     from, and a certificate refuses a set built for anything else.
@@ -86,13 +86,14 @@ class BoxSet:
     posterior: Posterior
     boxes: WeightBox           # lower/upper of shape (K, n_w)
     masses: np.ndarray         # (K,)
+    terms: list                # [(J, s_J m(J))] of inclusion_exclusion
     used: int                  # boxes sampled before disjointify or dedupe
     built_for: tuple           # _box_key of the config
 
     def mean_bound(self, psi, lo: float, hi: float, lower: bool):
         """Bound on the posterior mean of any f with lo <= f <= hi that is
-        >= psi[i] (lower) or <= psi[i] (upper) on box i; also returns the
-        covered mass.
+        >= psi[..., i] (lower) or <= psi[..., i] (upper) on box i, one per
+        leading index of psi (..., K); also returns the covered mass.
 
         Uncovered mass is charged at lo (resp. hi), and an intersection at
         its least favourable psi, so the value is sigma + IE(g) (resp.
@@ -100,13 +101,22 @@ class BoxSet:
         or over disjoint boxes, is at most the integral of the largest g
         among the boxes holding each weight, and the mean lies in [lo, hi],
         so clamping the value into [lo, hi] keeps it sound.
+
+        Each value sums from a leading +0.0 over the boxes left to right,
+        then over the terms, with the bits of a scalar loop.
         """
-        sigma, pick = (lo, min) if lower else (hi, max)
-        depth = self.built_for[-1] or 1   # inclusion-exclusion depth
-        acc, total = inclusion_exclusion(self.boxes, self.masses, psi, pick,
-                                         self.posterior, depth)
+        sigma, pick = (lo, np.min) if lower else (hi, np.max)
+        acc = np.zeros(psi.shape[:-1] + (psi.shape[-1] + 1,))
+        np.multiply(self.masses, psi, out=acc[..., 1:])
+        acc = np.cumsum(acc, axis=-1)[..., -1]
+        for J, m in self.terms:
+            acc += m * pick(psi[..., list(J)], axis=-1)
+        total = float(sum((m for _, m in self.terms), sum(self.masses, 0.0)))
         value = acc + sigma * (1.0 - min(total, 1.0))
-        return min(max(value, lo), hi), min(max(total, 0.0), 1.0)
+        # Python's min(max(value, lo), hi): a bound only where strictly out.
+        value = np.where(lo > value, lo, value)
+        value = np.where(hi < value, hi, value)
+        return value, min(max(total, 0.0), 1.0)
 
 
 def box_set(posterior: Posterior, cfg: CertifyConfig) -> BoxSet:
@@ -131,8 +141,10 @@ def box_set(posterior: Posterior, cfg: CertifyConfig) -> BoxSet:
     if len(keep) < len(draws):
         stack = WeightBox(lower=stack.lower[keep], upper=stack.upper[keep])
     return BoxSet(posterior=posterior, boxes=stack,
-                  masses=box_mass(posterior, stack), used=len(draws),
-                  built_for=_box_key(cfg))
+                  masses=box_mass(posterior, stack),
+                  terms=inclusion_exclusion(stack, posterior,
+                                            cfg.bonferroni or 1),
+                  used=len(draws), built_for=_box_key(cfg))
 
 
 def _certificate(prop, direction, value, covered, boxes, kept, wall_time,
@@ -151,14 +163,12 @@ def _certificate(prop, direction, value, covered, boxes, kept, wall_time,
 _CHUNK_ENTRIES = 2 ** 14
 
 
-def _over_regions(net, posterior, T: InputBox, S, cfg, boxes, score,
+def _over_regions(net, posterior, T: InputBox, S, cfg, boxes,
                   attack: bool = False):
-    """The one propagate-and-reduce body behind every certificate: regions
-    T, (n_in,) or (M, n_in), with specs S (one, M or None) meet every box in
-    chunks (with ``attack``, at each pair's PGD point from the box center),
-    and ``score(boxes, specs, yL, yU)`` turns a chunk's (m, K, n_out) output
-    boxes into one entry per region. Returns boxes, entries, time/region."""
-    t0 = time.perf_counter()
+    """The one propagate body behind every certificate: regions T, (n_in,)
+    or (M, n_in), with specs S (one, M or None) meet every box in chunks
+    (with ``attack``, at each pair's PGD point from the box center). Returns
+    the box set, the M specs and the (M, K, n_out) output bounds."""
     if boxes is None:
         boxes = box_set(posterior, cfg)
     elif boxes.posterior is not posterior or boxes.built_for != _box_key(cfg):
@@ -174,7 +184,7 @@ def _over_regions(net, posterior, T: InputBox, S, cfg, boxes, score,
         raise ShapeError(f"{len(specs)} specs for {M} regions")
     chunk = max(1, _CHUNK_ENTRIES // (max(K, 1) * max(
         l.rows * l.cols for l in net.layers)))
-    entries = []
+    yL, yU = np.empty((2, M, K, net.output_dim))
     for first in range(0, M, chunk):
         cells = slice(first, first + chunk)
         if attack:
@@ -184,28 +194,26 @@ def _over_regions(net, posterior, T: InputBox, S, cfg, boxes, score,
             Tc = InputBox.point(x)
         else:
             Tc = InputBox(lower=lo[cells, None], upper=hi[cells, None])
-        yL, yU = propagate(net, Tc, boxes.boxes, cfg.method)
-        entries += score(boxes, specs[cells], yL, yU)
-    return boxes, entries, (time.perf_counter() - t0) / max(M, 1)
+        yL[cells], yU[cells] = propagate(net, Tc, boxes.boxes, cfg.method)
+    return boxes, specs, yL, yU
 
 
 def _psafe(net, posterior, T: InputBox, S, cfg, boxes, upper: bool):
     """Both P_safe bounds: one flag per (region, box) from ``contains``
     (lower) or ``excludes`` at the attack point (upper)."""
+    t0 = time.perf_counter()
     check = excludes if upper else contains
-
-    def score(boxes, specs, yL, yU):
-        flags = [[float(check(s, a, b)) for a, b in zip(cell_L, cell_U)]
-                 for s, cell_L, cell_U in zip(specs, yL, yU)]
-        return [(*boxes.mean_bound(f, 0.0, 1.0, lower=True), int(sum(f)))
-                for f in flags]
-
-    boxes, bounds, wall_time = _over_regions(net, posterior, T, S, cfg,
-                                             boxes, score, attack=upper)
+    boxes, specs, yL, yU = _over_regions(net, posterior, T, S, cfg, boxes,
+                                         attack=upper)
+    flags = np.reshape([[float(check(s, a, b)) for a, b in zip(cell_L, cell_U)]
+                        for s, cell_L, cell_U in zip(specs, yL, yU)],
+                       yL.shape[:2])
+    values, covered = boxes.mean_bound(flags, 0.0, 1.0, lower=True)
+    wall_time = (time.perf_counter() - t0) / max(len(flags), 1)
     certs = [_certificate("psafe", "upper" if upper else "lower",
-                          1.0 - v if upper else v, covered, boxes, kept,
+                          1.0 - v if upper else v, covered, boxes, int(kept),
                           wall_time, cfg)
-             for v, covered, kept in bounds]
+             for v, kept in zip(values.tolist(), flags.sum(axis=-1))]
     return certs if T.lower.ndim > 1 else certs[0]
 
 
@@ -283,6 +291,7 @@ class Task:
 def _dsafe(net, posterior, T, cfg, task, lower: bool, boxes):
     """One D_safe bound per region: each box's least (lower) or greatest
     (upper) task output over its output box, reduced by ``mean_bound``."""
+    t0 = time.perf_counter()
     if task.kind == "classification":
         lo, hi = 0.0, 1.0
     elif cfg.sigma_floor is None or cfg.sigma_ceil is None:
@@ -291,22 +300,19 @@ def _dsafe(net, posterior, T, cfg, task, lower: bool, boxes):
     else:
         lo, hi = float(cfg.sigma_floor), float(cfg.sigma_ceil)
     c = task.class_index
-
-    def score(boxes, specs, yL, yU):
-        if task.kind == "classification":
-            psi = (output_worst if lower else output_best)(yL, yU)[..., c]
-        elif lower:
-            psi = np.maximum(yL[..., c], lo)
-        else:
-            psi = np.minimum(yU[..., c], hi)
-        return [boxes.mean_bound(p, lo, hi, lower) for p in psi]
-
-    boxes, bounds, wall_time = _over_regions(net, posterior, T, None, cfg,
-                                             boxes, score)
+    boxes, _, yL, yU = _over_regions(net, posterior, T, None, cfg, boxes)
+    if task.kind == "classification":
+        psi = (output_worst if lower else output_best)(yL, yU)[..., c]
+    elif lower:
+        psi = np.maximum(yL[..., c], lo)
+    else:
+        psi = np.minimum(yU[..., c], hi)
+    values, covered = boxes.mean_bound(psi, lo, hi, lower)
+    wall_time = (time.perf_counter() - t0) / max(len(psi), 1)
     certs = [_certificate("dsafe", "lower" if lower else "upper", v, covered,
                           boxes, len(boxes.masses), wall_time, cfg,
                           extra={"task": task.kind, "index": c})
-             for v, covered in bounds]
+             for v in values.tolist()]
     return certs if T.lower.ndim > 1 else certs[0]
 
 
@@ -331,18 +337,13 @@ def dsafe_bounds_all_classes(net: Network, posterior: Posterior, T: InputBox,
     """Per-class decision bounds sharing one box set and one propagation
     pass, as (lowers, uppers) arrays of shape (output_dim,) for one region
     or (M, output_dim) for M; T and ``boxes`` are as in ``psafe_lower``."""
-    n_out = net.output_dim
-
-    def score(boxes, specs, yL, yU):
-        return [[[boxes.mean_bound(p[:, c], 0.0, 1.0, lower)[0]
-                  for c in range(n_out)]
-                 for p, lower in ((worst, True), (best, False))]
-                for worst, best in zip(output_worst(yL, yU),
-                                       output_best(yL, yU))]
-
-    _, bounds, _ = _over_regions(net, posterior, T, None, cfg, boxes, score)
-    bounds = np.reshape(bounds, T.lower.shape[:-1] + (2, n_out))
-    return bounds[..., 0, :], bounds[..., 1, :]
+    boxes, _, yL, yU = _over_regions(net, posterior, T, None, cfg, boxes)
+    shape = T.lower.shape[:-1] + (net.output_dim,)
+    lowers, _ = boxes.mean_bound(np.moveaxis(output_worst(yL, yU), -1, -2),
+                                 0.0, 1.0, lower=True)
+    uppers, _ = boxes.mean_bound(np.moveaxis(output_best(yL, yU), -1, -2),
+                                 0.0, 1.0, lower=False)
+    return lowers.reshape(shape), uppers.reshape(shape)
 
 
 def decision_robust(net: Network, posterior: Posterior, T: InputBox,

@@ -53,6 +53,16 @@ def _add_certify_flags(p):
     p.add_argument("--out", default=None)
 
 
+def _add_model_flags(p):
+    p.add_argument("--dataset", choices=("blobs", "hcas", "cubic"), required=True)
+    p.add_argument("--hidden", type=int, default=16)
+    p.add_argument("--layers", type=int, default=1)
+    p.add_argument("--activation", choices=("relu", "tanh"), default="relu")
+    p.add_argument("--prior-variance", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The parser, built once: each build grows the process's peak RSS."""
@@ -83,31 +93,19 @@ def build_parser() -> _Parser:
     pr.add_argument("--eps-cap", type=float, default=1.0)
 
     pt = sub.add_parser("train", help="fit a variational Gaussian posterior")
-    pt.add_argument("--dataset", choices=("blobs", "hcas", "cubic"), required=True)
-    pt.add_argument("--hidden", type=int, default=16)
-    pt.add_argument("--layers", type=int, default=1)
-    pt.add_argument("--activation", choices=("relu", "tanh"), default="relu")
+    _add_model_flags(pt)
     pt.add_argument("--epochs", type=int, default=200)
     pt.add_argument("--learning-rate", type=float, default=0.01)
-    pt.add_argument("--prior-variance", type=float, default=0.5)
     pt.add_argument("--kl-weight", type=float, default=1.0)
     pt.add_argument("--n-data", type=int, default=300)
-    pt.add_argument("--seed", type=int, default=0)
-    pt.add_argument("--out", required=True)
 
     ph = sub.add_parser("hmc", help="draw an HMC sample posterior")
-    ph.add_argument("--dataset", choices=("blobs", "hcas", "cubic"), required=True)
-    ph.add_argument("--hidden", type=int, default=16)
-    ph.add_argument("--layers", type=int, default=1)
-    ph.add_argument("--activation", choices=("relu", "tanh"), default="relu")
+    _add_model_flags(ph)
     ph.add_argument("--num-samples", type=int, default=100)
     ph.add_argument("--burn-in", type=int, default=100)
     ph.add_argument("--leapfrog-steps", type=int, default=20)
     ph.add_argument("--step-size", type=float, default=0.01)
-    ph.add_argument("--prior-variance", type=float, default=0.5)
     ph.add_argument("--n-data", type=int, default=100)
-    ph.add_argument("--seed", type=int, default=0)
-    ph.add_argument("--out", required=True)
 
     pv = sub.add_parser("validate",
                         help="sandwich certified bounds against MC/PGD estimates")
@@ -180,7 +178,7 @@ def _grid_cells(grid) -> InputBox:
 
 def cmd_sweep(args) -> int:
     net, post = io_mod.load_posterior(args.posterior)
-    doc = json.loads(open(args.sweep_spec).read())
+    doc = io_mod.read_json(args.sweep_spec, "sweep spec")
     if not isinstance(doc, dict) or "grid" not in doc:
         raise io_mod.FileFormatError("sweep spec needs a 'grid' field")
     if "true_class" in doc:
@@ -231,14 +229,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_radius(args) -> int:
     net, post = io_mod.load_posterior(args.posterior)
-    T0, S, meta = io_mod.load_spec(args.spec, n_outputs=net.output_dim)
-    x = T0.center
+    _, S, meta = io_mod.load_spec(args.spec, n_outputs=net.output_dim)
+    x = meta["center"]
     cfg = _certify_config(args)
     scfg = search.RadiusSearchConfig(
         tau_safe=args.tau_safe, tau_unsafe=args.tau_unsafe,
         eps_start_safe=args.eps_start_safe,
         eps_start_unsafe=args.eps_start_unsafe,
-        step=args.step, eps_cap=args.eps_cap)
+        step=args.step, eps_cap=args.eps_cap, clip=meta["clip"])
     maxrr = search.max_robust_radius(net, post, x, S, cfg, scfg)
     minur = search.min_unrobust_radius(net, post, x, S, cfg, scfg)
     lines = ["quantity,radius,vacuous,epsilons,values"]
@@ -363,8 +361,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, io_mod.FileFormatError, OSError,
-            json.JSONDecodeError) as e:
+    except (FileNotFoundError, io_mod.FileFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except ShapeError as e:

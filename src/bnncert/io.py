@@ -43,6 +43,17 @@ def network_from_dict(d: dict) -> Network:
         raise FileFormatError(f"bad network schema: {e}") from e
 
 
+def read_json(path, kind: str):
+    """Parse a JSON file; an unreadable, non-UTF-8 or malformed ``kind``
+    file raises FileFormatError, a missing one FileNotFoundError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as e:
+        raise FileFormatError(f"cannot parse {kind} file {path}: {e}") from e
+
+
 def save_posterior(path, net: Network, posterior: Posterior) -> None:
     doc = {"arch": network_to_dict(net)}
     if isinstance(posterior, GaussianPosterior):
@@ -56,12 +67,7 @@ def save_posterior(path, net: Network, posterior: Posterior) -> None:
 
 
 def load_posterior(path) -> tuple[Network, Posterior]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise
-    except (json.JSONDecodeError, OSError) as e:
-        raise FileFormatError(f"cannot parse posterior file {path}: {e}") from e
+    doc = read_json(path, "posterior")
     try:
         net = network_from_dict(doc["arch"])
         kind = doc["kind"]
@@ -95,18 +101,17 @@ def load_spec(path, n_outputs: int | None = None):
 
     Schema: {center, epsilon (scalar or vector), clip?: [lo, hi],
     true_class | constraints: {C, d}}. With true_class, n_outputs must be
-    known to build the argmax polytope.
+    known to build the argmax polytope. ``meta`` carries the center and the
+    clip pair (or None) next to the optional task fields.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise
-    except (json.JSONDecodeError, OSError) as e:
-        raise FileFormatError(f"cannot parse spec file {path}: {e}") from e
+    doc = read_json(path, "spec")
     try:
         center = np.array(doc["center"], dtype=float)
         eps = np.asarray(doc["epsilon"], dtype=float)
-        clip = tuple(doc["clip"]) if doc.get("clip") is not None else None
+        clip = doc.get("clip")
+        if clip is not None:
+            lo, hi = (float(c) for c in clip)   # exactly two numbers
+            clip = (lo, hi)
         T = linf_ball(center, eps, clip)
         if "constraints" in doc:
             S = OutputSpec(C=np.array(doc["constraints"]["C"], dtype=float),
@@ -123,9 +128,9 @@ def load_spec(path, n_outputs: int | None = None):
         raise
     except (TypeError, ValueError) as e:
         raise FileFormatError(f"bad spec in {path}: {e}") from e
-    meta = {k: doc[k] for k in ("true_class", "task", "sigma_floor", "sigma_ceil")
-            if k in doc}
-    return T, S, meta
+    meta = {k: doc[k] for k in ("true_class", "task", "index", "sigma_floor",
+                                "sigma_ceil") if k in doc}
+    return T, S, dict(meta, center=center, clip=clip)
 
 
 def certificate_to_json(cert: Certificate) -> str:

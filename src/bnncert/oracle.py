@@ -12,7 +12,7 @@ import numpy as np
 from scipy.stats import beta
 
 from . import attack as attack_mod
-from .net import Network, forward
+from .net import Network, forward, softmax
 from .posterior import GaussianPosterior, Posterior
 from .spec import InputBox, OutputSpec
 
@@ -79,10 +79,7 @@ def _predictive_draws(net: Network, posterior: Posterior, pts: np.ndarray,
     outs = []
     for start in range(0, n_weights, _CHUNK):
         ys = forward(net, ws[start:start + _CHUNK, None, :], pts)
-        if kind == "classification":
-            e = np.exp(ys - ys.max(axis=-1, keepdims=True))
-            ys = e / e.sum(axis=-1, keepdims=True)
-        outs.append(ys)
+        outs.append(softmax(ys) if kind == "classification" else ys)
     return np.concatenate(outs)
 
 

@@ -171,33 +171,32 @@ def box_mass(posterior: Posterior, box: WeightBox):
     return float(mass) if mass.ndim == 0 else mass
 
 
-def inclusion_exclusion(boxes: WeightBox, masses, values, pick,
-                        posterior: Posterior, depth: int) -> tuple[float, float]:
-    """Truncated inclusion-exclusion over a stack of weight boxes.
+def inclusion_exclusion(boxes: WeightBox, posterior: Posterior,
+                        depth: int) -> list[tuple[tuple, float]]:
+    """The higher-order terms of truncated inclusion-exclusion over a stack
+    of weight boxes: (J, s_J m(J)) for every index set J of 2 to ``depth``
+    boxes whose intersection is not empty, in ``itertools.combinations``
+    order, where m(J) is the posterior mass of the intersection and
+    s_J = (-1)^(|J|+1).
 
-    Returns (sum_J s_J m(J) pick(values[J]), sum_J s_J m(J)) over every
-    index set J of at most ``depth`` boxes, where m(J) is the posterior mass
-    of the boxes' intersection (``masses[i]`` for J = {i}, integrated here
-    for larger J) and s_J = (-1)^(|J|+1).
-
-    With values all 1 the second sum is the truncated union mass: an even
-    depth under-counts it, an odd depth over-counts it, and any depth is
-    exact for pairwise-disjoint boxes. For values g >= 0 priced with
-    ``min``, an even depth likewise bounds from below the integral of the
-    largest g among the boxes containing each weight. Cost is O(N^depth).
+    Added after the single masses, the terms give the truncated union
+    mass: an even depth under-counts it, an odd depth over-counts it, and
+    any depth is exact for pairwise-disjoint boxes. Weighting term J by the
+    least of values g[J] >= 0, an even depth likewise bounds from below the
+    integral of the largest g among the boxes containing each weight. The
+    terms do not depend on g, so one list serves every g. Cost is
+    O(N^depth).
     """
-    acc = sum(m * v for m, v in zip(masses, values))
-    total = sum(masses)
-    for j in range(2, min(depth, len(masses)) + 1):
+    terms = []
+    for j in range(2, min(depth, len(boxes.lower)) + 1):
         sign = (-1.0) ** (j + 1)
-        for combo in itertools.combinations(range(len(masses)), j):
+        for combo in itertools.combinations(range(len(boxes.lower)), j):
             lo = boxes.lower[list(combo)].max(axis=0)
             hi = boxes.upper[list(combo)].min(axis=0)
             if np.all(lo <= hi):
-                m = sign * box_mass(posterior, WeightBox(lower=lo, upper=hi))
-                acc += m * pick(values[i] for i in combo)
-                total += m
-    return float(acc), float(total)
+                terms.append((combo, sign * box_mass(
+                    posterior, WeightBox(lower=lo, upper=hi))))
+    return terms
 
 
 def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
@@ -212,12 +211,11 @@ def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
     shape = (len(boxes), posterior.n_weights)
     stack = WeightBox(lower=np.reshape([b.lower for b in boxes], shape),
                       upper=np.reshape([b.upper for b in boxes], shape))
-    masses = box_mass(posterior, stack)
-    ones = [1.0] * len(boxes)
-    _, lower = inclusion_exclusion(stack, masses, ones, min, posterior,
-                                   depth_lower)
-    _, upper = inclusion_exclusion(stack, masses, ones, min, posterior,
-                                   depth_upper)
+    singles = sum(box_mass(posterior, stack))
+    lower = sum((m for _, m in inclusion_exclusion(stack, posterior,
+                                                   depth_lower)), singles)
+    upper = sum((m for _, m in inclusion_exclusion(stack, posterior,
+                                                   depth_upper)), singles)
     return float(np.clip(lower, 0.0, 1.0)), float(np.clip(upper, 0.0, 1.0))
 
 

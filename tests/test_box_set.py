@@ -310,3 +310,18 @@ def test_zero_samples_give_an_empty_set(rng):
     assert boxes.boxes.lower.shape == (0, net.n_weights)
     assert psafe_lower(net, post, T, S, cfg, boxes).value == 0.0
     assert psafe_upper(net, post, T, S, cfg, boxes).value == 1.0
+
+
+def test_mean_bound_of_zero_masses_is_a_positive_zero():
+    """Zero masses times negative psi give -0.0 per box; summed from a
+    leading +0.0, as a scalar loop sums them, every region's value is +0.0
+    (here a regression upper bound with sigma_ceil = -0.0)."""
+    post = GaussianPosterior(mean=np.zeros(2), variance=np.ones(2))
+    zero = np.zeros((3, 2))
+    boxes = certify.BoxSet(posterior=post, boxes=WeightBox(lower=zero,
+                                                           upper=zero),
+                           masses=np.zeros(3), terms=[], used=3, built_for=())
+    value, covered = boxes.mean_bound(-np.ones((2, 3)), -1.0, -0.0,
+                                      lower=False)
+    assert covered == 0.0
+    assert value.tolist() == [0.0, 0.0] and not np.signbit(value).any()

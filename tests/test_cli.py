@@ -121,6 +121,26 @@ class TestCertifyCommand:
         assert code == 0
         assert 0.0 <= json.loads(out.out)["value"] <= 1.0
 
+    @pytest.mark.parametrize("index, output", [(0, 10.0), (1, 0.0)])
+    def test_regression_dsafe_bounds_the_spec_index(self, capsys, tmp_path,
+                                                    safe_posterior_file,
+                                                    index, output):
+        spec = tmp_path / "reg.json"
+        save_spec(spec, {"center": [0.0, 0.0], "epsilon": 0.1,
+                         "constraints": {"C": [[1.0, -1.0]], "d": [0.0]},
+                         "task": "regression", "index": index,
+                         "sigma_floor": -20.0, "sigma_ceil": 20.0})
+        values = []
+        for bound in ("lower", "upper"):
+            code, out = run(capsys, "certify", "--posterior",
+                            safe_posterior_file, "--spec", str(spec),
+                            "--property", "dsafe", "--bound", bound)
+            assert code == 0
+            values.append(json.loads(out.out)["value"])
+        # The boxes cover most of the mass; the rest is charged at +-20.
+        assert values[0] <= output <= values[1]
+        assert values[1] - values[0] < 10.0
+
 
 class TestSweepCommand:
     def test_two_cell_safe_sweep(self, capsys, safe_posterior_file, tmp_path):
@@ -184,6 +204,29 @@ class TestRadiusCommand:
         lines = out.out.strip().splitlines()
         assert lines[0] == "quantity,radius,vacuous,epsilons,values"
         assert lines[1].startswith("maxrr,") and lines[2].startswith("minur,")
+
+    def test_balls_center_on_the_spec_center_inside_its_clip(self, capsys,
+                                                              tmp_path):
+        """Class 0 wins where x0 > 0.79 (first net) or x0 < 1.05 (second).
+        Balls around the spec's center 0.95, clipped to [-1, 1], stay safe
+        up to eps 0.15 and up to the cap; balls around the clipped spec
+        box's centre 0.925, unclipped, would stop both at 0.1."""
+        spec = tmp_path / "spec.json"
+        save_spec(spec, {"center": [0.95, 0.0], "epsilon": 0.1,
+                         "clip": [-1, 1], "true_class": 0})
+        net = Network.dense([2, 2])
+        for mean, radius in (([10.0, 0.0, 0.0, 0.0, -7.9, 0.0], "0.150000"),
+                             ([-10.0, 0.0, 0.0, 0.0, 10.5, 0.0], "0.200000")):
+            post = tmp_path / "post.json"
+            save_posterior(post, net, GaussianPosterior(
+                mean=np.array(mean), variance=np.full(6, 1e-10)))
+            code, out = run(capsys, "radius", "--posterior", str(post),
+                            "--spec", str(spec), "--samples", "1",
+                            "--step", "0.05", "--eps-start-safe", "0.05",
+                            "--eps-start-unsafe", "0.2", "--eps-cap", "0.2")
+            assert code == 0
+            name, found = out.out.splitlines()[1].split(",")[:2]
+            assert (name, found) == ("maxrr", radius)
 
 
 class TestTrainCommands:
@@ -265,13 +308,22 @@ def test_non_finite_spec_exit_2(capsys, safe_posterior_file, tmp_path,
                          "true_class": 7}),
     ("sweep", "sweep", {"grid": [[-1, 1, 1.0], [-1, 1, 1.0]],
                         "true_class": 7}),
+    ("certify", "spec", {"center": [0.0, 0.0], "epsilon": 0.1,
+                         "clip": [-1.0], "true_class": 0}),
+    ("certify", "posterior", b'{"kind": "\xff"}'),
+    ("certify", "spec", b'{"center": "\xff"}'),
+    ("sweep", "sweep", b'{"grid": "\xff"}'),
 ], ids=["spec-class-list", "sweep-class-list", "grid-row-short",
         "grid-string", "spec-array", "posterior-array", "spec-class-range",
-        "sweep-class-range"])
+        "sweep-class-range", "spec-clip-short", "posterior-not-utf8", "spec-not-utf8",
+        "sweep-not-utf8"])
 def test_malformed_types_exit_2(capsys, safe_posterior_file, spec_file,
                                 tmp_path, command, kind, doc):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        bad.write_bytes(doc)
+    else:
+        bad.write_text(json.dumps(doc))
     files = {"posterior": safe_posterior_file, "spec": spec_file,
              "sweep": "unused", kind: str(bad)}
     argv = [command, "--posterior", files["posterior"], "--spec", files["spec"]]

@@ -144,6 +144,13 @@ def test_gaussian_lbp_sweep_batch_equals_per_cell_calls():
     T = _grid_cells([[-1, 1, 0.5], [-1, 1, 1.0], [-1, 1, 2.0], [-1, 1, 2.0]])
     cfg = CertifyConfig(num_samples=3, gamma=1.0, method="lbp", rng_seed=2)
     assert_batch_equals_single_calls(net, post, T, hcas_specs(T), cfg)
+    # Overlapping boxes priced by Bonferroni terms.
+    post = GaussianPosterior(mean=post.mean, variance=post.variance / 10)
+    cfg = CertifyConfig(num_samples=4, gamma=3.0, method="lbp", rng_seed=2,
+                        bonferroni=2)
+    assert box_set(post, cfg).terms
+    uppers = assert_batch_equals_single_calls(net, post, T, hcas_specs(T), cfg)
+    assert len({c.value for c in uppers}) > 2      # not a vacuous sweep
 
 
 @pytest.mark.parametrize("grid, n_cells", [([[1, 1.3, 0.1]], 3),
@@ -264,6 +271,22 @@ def test_one_propagate_call_per_chunk_for_dsafe(hcas_sized, monkeypatch):
     monkeypatch.setattr(certify, "propagate", counted)
     dsafe_bounds_all_classes(net, post, T, cfg, boxes)
     assert calls == [26, 26, 26, 22]
+
+
+def test_inclusion_exclusion_runs_once_per_box_set(hcas_sized, monkeypatch):
+    net, post, T, S, _, _ = hcas_sized
+    cfg = CertifyConfig(num_samples=4, gamma=2.5, bonferroni=2)
+    depths = []
+
+    def counted(*args, _real=certify.inclusion_exclusion):
+        depths.append(args[-1])
+        return _real(*args)
+    monkeypatch.setattr(certify, "inclusion_exclusion", counted)
+    boxes = box_set(post, cfg)
+    assert boxes.terms
+    dsafe_bounds_all_classes(net, post, T, cfg, boxes)
+    psafe_lower(net, post, T, S, cfg, boxes)
+    assert depths == [2]
 
 
 def test_sweep_memory_does_not_grow_with_the_cells(hcas_sized):

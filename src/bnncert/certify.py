@@ -157,18 +157,18 @@ def _certificate(prop, direction, value, covered, boxes, kept, wall_time,
                        config=config, extra=extra or {})
 
 
-# The cells of a region batch go through the network in chunks, each
-# holding about this many IBP corner products per weight box, so the
-# memory of a certificate does not grow with the number of regions.
+# The (region, box) pairs of a batch go through the network in chunks,
+# holding about this many entries per (region, box) pair for the method,
+# so the memory of a certificate grows with neither regions nor boxes.
 _CHUNK_ENTRIES = 2 ** 14
 
 
 def _over_regions(net, posterior, T: InputBox, S, cfg, boxes,
                   attack: bool = False):
-    """The one propagate body behind every certificate: regions T, (n_in,)
-    or (M, n_in), with specs S (one, M or None) meet every box in chunks
-    (with ``attack``, at each pair's PGD point from the box center). Returns
-    the box set, the M specs and the (M, K, n_out) output bounds."""
+    """The one propagate body behind every certificate and the only code that
+    batches pairs: regions T, (n_in,) or (M, n_in), with specs S (one, M or
+    None) meet every box in chunks (with ``attack``, at each pair's PGD point
+    from the box center). Returns the box set, specs and (M, K, n_out) bounds."""
     if boxes is None:
         boxes = box_set(posterior, cfg)
     elif boxes.posterior is not posterior or boxes.built_for != _box_key(cfg):
@@ -182,8 +182,13 @@ def _over_regions(net, posterior, T: InputBox, S, cfg, boxes,
     specs = [S] * M if S is None or isinstance(S, OutputSpec) else list(S)
     if len(specs) != M:
         raise ShapeError(f"{len(specs)} specs for {M} regions")
-    chunk = max(1, _CHUNK_ENTRIES // (max(K, 1) * max(
-        l.rows * l.cols for l in net.layers)))
+    # IBP's corner products per layer, or LBP's bounding functions of layer
+    # l, rows_l x (n_in + rows_0 + ... + rows_l) coefficients.
+    pairs = max(1, _CHUNK_ENTRIES // max(
+        l.rows * (l.cols if cfg.method == "ibp" else
+                  net.input_dim + sum(m.rows for m in net.layers[:i + 1]))
+        for i, l in enumerate(net.layers)))
+    chunk, step = max(1, pairs // max(K, 1)), max(1, min(K, pairs))
     yL, yU = np.empty((2, M, K, net.output_dim))
     for first in range(0, M, chunk):
         cells = slice(first, first + chunk)
@@ -191,10 +196,12 @@ def _over_regions(net, posterior, T: InputBox, S, cfg, boxes,
             x = attack_mod.pgd(net, boxes.boxes.center, InputBox(
                 lower=lo[cells], upper=hi[cells]), specs[cells],
                 cfg.attack or attack_mod.AttackConfig())
-            Tc = InputBox.point(x)
-        else:
-            Tc = InputBox(lower=lo[cells, None], upper=hi[cells, None])
-        yL[cells], yU[cells] = propagate(net, Tc, boxes.boxes, cfg.method)
+        for ks in (slice(k, k + step) for k in range(0, K, step)):
+            Tc = (InputBox.point(x[:, ks]) if attack else
+                  InputBox(lower=lo[cells, None], upper=hi[cells, None]))
+            R = boxes.boxes if step >= K else WeightBox(
+                boxes.boxes.lower[ks], boxes.boxes.upper[ks])
+            yL[cells, ks], yU[cells, ks] = propagate(net, Tc, R, cfg.method)
     return boxes, specs, yL, yU
 
 

@@ -177,29 +177,37 @@ def relax_activation(kind: str, zl, zu):
 
 @dataclass
 class LinearBoundingFunction:
-    """A bound of the form mu . x + sum_l sum_r coef[l][:, r] * (zref_l . W^(l)_r)
+    """A bound of the form mu . x + sum_l sum_r coef[l][..., r] * (zref_l . W^(l)_r)
     + lam, one row per neuron of the current layer."""
 
-    mu: np.ndarray              # (m, n_in)
-    coef: list[np.ndarray]      # coef[l]: (m, rows_l)
-    lam: np.ndarray             # (m,)
+    mu: np.ndarray              # (..., m, n_in)
+    coef: list[np.ndarray]      # coef[l]: (..., m, rows_l)
+    lam: np.ndarray             # (..., m)
+
+
+def _matvec(A, x):
+    """A @ x over leading axes: (..., m, n) and (..., n) give (..., m)."""
+    return (A @ x[..., None])[..., 0]
 
 
 def _ref_range(WL, WU, zref):
     """(min, max) of zref . W_r over the weight box, for each row r of W."""
+    zref = zref[..., None, :]
     pos = zref >= 0
-    return (np.where(pos, zref * WL, zref * WU).sum(axis=1),
-            np.where(pos, zref * WU, zref * WL).sum(axis=1))
+    return (np.where(pos, zref * WL, zref * WU).sum(axis=-1),
+            np.where(pos, zref * WU, zref * WL).sum(axis=-1))
 
 
 def _lbf_extreme(f: LinearBoundingFunction, T: InputBox, ranges, minimize: bool):
     """Analytic optimum of each LBF row over the input and weight boxes;
     ranges[l] is layer l's ``_ref_range``."""
     lo_x, hi_x = (T.lower, T.upper) if minimize else (T.upper, T.lower)
-    total = f.lam + np.where(f.mu >= 0, f.mu * lo_x, f.mu * hi_x).sum(axis=1)
+    lo_x, hi_x = lo_x[..., None, :], hi_x[..., None, :]
+    total = f.lam + np.where(f.mu >= 0, f.mu * lo_x, f.mu * hi_x).sum(axis=-1)
     for C, (lo, hi) in zip(f.coef, ranges):
         lo, hi = (lo, hi) if minimize else (hi, lo)
-        total = total + np.maximum(C, 0.0) @ lo + np.minimum(C, 0.0) @ hi
+        total = (total + _matvec(np.maximum(C, 0.0), lo)
+                 + _matvec(np.minimum(C, 0.0), hi))
     return total
 
 
@@ -208,7 +216,7 @@ def _scale_rows(fL: LinearBoundingFunction, fU: LinearBoundingFunction,
     """Per-row composition alpha_j * f_j + beta_j, picking the lower or upper
     source LBF by the sign of alpha_j (linear-transform lemma)."""
     pick_L = (alpha >= 0) if lower_side else (alpha < 0)
-    a, sel = alpha[:, None], pick_L[:, None]
+    a, sel = alpha[..., None], pick_L[..., None]
     mu = np.where(sel, a * fL.mu, a * fU.mu)
     coef = [np.where(sel, a * CL, a * CU) for CL, CU in zip(fL.coef, fU.coef)]
     lam = np.where(pick_L, alpha * fL.lam, alpha * fU.lam) + beta
@@ -220,7 +228,7 @@ def _combine(A_pos, A_neg, fL: LinearBoundingFunction, fU: LinearBoundingFunctio
     else upper LBF), expressed with the positive/negative parts of A."""
     mu = A_pos @ fL.mu + A_neg @ fU.mu
     coef = [A_pos @ CL + A_neg @ CU for CL, CU in zip(fL.coef, fU.coef)]
-    lam = A_pos @ fL.lam + A_neg @ fU.lam
+    lam = _matvec(A_pos, fL.lam) + _matvec(A_neg, fU.lam)
     return LinearBoundingFunction(mu=mu, coef=coef, lam=lam)
 
 
@@ -234,8 +242,8 @@ def _bilinear_lbf(A, b_end, zref, zL_f, zU_f, lower_side: bool):
     """
     pos_f, neg_f = (zL_f, zU_f) if lower_side else (zU_f, zL_f)
     f = _combine(np.maximum(A, 0.0), np.minimum(A, 0.0), pos_f, neg_f)
-    f.coef.append(np.eye(A.shape[0]))
-    f.lam = f.lam - A @ zref + b_end
+    f.coef.append(np.eye(A.shape[-2]))
+    f.lam = f.lam - _matvec(A, zref) + b_end
     return f
 
 
@@ -245,18 +253,18 @@ def lbp_forward(net: Network, T: InputBox, R: WeightBox):
     Intermediate pre-activation intervals come from optimizing the current
     LBFs analytically over (T, R), intersected with IBP's intervals at the
     same layer, which is sound and never looser than either method alone.
+    T and R may carry leading axes, which broadcast as in
+    ``ibp_layer_intervals``; every LBF array carries the broadcast axes.
     """
     wboxes = _unpack_box(net, R)
     ibp_pre = ibp_layer_intervals(net, T, R)
-    if T.dim != net.input_dim:
-        raise ShapeError(f"input box dim {T.dim} != network input dim {net.input_dim}")
 
     # First layer: McCormick on W x directly (both forms anchor at x^L).
     WL0, WU0, bL0, bU0 = wboxes[0]
     ranges = [_ref_range(WL0, WU0, T.lower)]
-    own = np.eye(WL0.shape[0])
-    fL = LinearBoundingFunction(mu=WL0, coef=[own], lam=bL0 - WL0 @ T.lower)
-    fU = LinearBoundingFunction(mu=WU0, coef=[own], lam=bU0 - WU0 @ T.lower)
+    own = np.eye(WL0.shape[-2])
+    fL = LinearBoundingFunction(mu=WL0, coef=[own], lam=bL0 - _matvec(WL0, T.lower))
+    fU = LinearBoundingFunction(mu=WU0, coef=[own], lam=bU0 - _matvec(WU0, T.lower))
 
     for k in range(len(net.layers) - 1):
         zetaL = _lbf_extreme(fL, T, ranges, minimize=True)
@@ -290,20 +298,10 @@ def propagate(net: Network, T: InputBox, R: WeightBox, method: str = "ibp"):
 
     T and R may carry leading axes, which broadcast as in
     ``ibp_layer_intervals``; the output bounds have the broadcast axes,
-    shape (..., n_out). IBP bounds every pair in one pass, LBP one pair at
-    a time.
+    shape (..., n_out). Both methods bound every pair in one pass.
     """
     if method == "ibp":
         return ibp_forward(net, T, R)
     if method != "lbp":
         raise ValueError(f"unknown propagation method {method!r}")
-    lead = np.broadcast_shapes(T.lower.shape[:-1], R.lower.shape[:-1])
-    if not lead:
-        return lbp_forward(net, T, R)
-    Ts = [np.broadcast_to(a, (*lead, a.shape[-1])) for a in (T.lower, T.upper)]
-    Rs = [np.broadcast_to(a, (*lead, a.shape[-1])) for a in (R.lower, R.upper)]
-    yL, yU = np.empty((2, *lead, net.output_dim))
-    for k in np.ndindex(lead):
-        yL[k], yU[k] = lbp_forward(net, InputBox(Ts[0][k], Ts[1][k]),
-                                   WeightBox(Rs[0][k], Rs[1][k]))
-    return yL, yU
+    return lbp_forward(net, T, R)

@@ -1,5 +1,6 @@
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ class TestCertifyCommand:
 
     def test_non_finite_posterior_exit_2(self, capsys, safe_posterior_file,
                                         spec_file, tmp_path):
-        doc = json.loads(open(safe_posterior_file).read())
+        doc = json.loads(Path(safe_posterior_file).read_text())
         doc["variance"][1] = float("inf")
         bad = tmp_path / "inf_post.json"
         bad.write_text(json.dumps(doc))
@@ -238,7 +239,7 @@ class TestTrainCommands:
         net, post = load_posterior(out_path)
         reread = str(tmp_path / "reread.json")
         save_posterior(reread, net, post)
-        assert open(out_path).read() == open(reread).read()
+        assert Path(out_path).read_text() == Path(reread).read_text()
 
         spec = tmp_path / "s.json"
         save_spec(spec, {"center": [-1.5, -1.5], "epsilon": 0.05,
@@ -255,7 +256,7 @@ class TestTrainCommands:
                       "--n-data", "30", "--step-size", "0.02",
                       "--leapfrog-steps", "5", "--out", out_path)
         assert code == 0
-        doc = json.loads(open(out_path).read())
+        doc = json.loads(Path(out_path).read_text())
         assert doc["kind"] == "samples"
         assert len(doc["samples"]) == 10
         assert "acceptance_rate" in doc["metadata"]

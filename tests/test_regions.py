@@ -6,12 +6,14 @@ bounds and the attack points that a call on that region alone gives, in
 chunks whose memory does not grow with M.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from bnncert import attack, certify
+from bnncert import propagate as propagate_mod
 from bnncert.attack import AttackConfig, pgd
 from bnncert.certify import (CertifyConfig, Task, box_set, decision_robust,
                              dsafe_bounds_all_classes, dsafe_lower,
@@ -21,7 +23,7 @@ from bnncert.cli import _grid_cells
 from bnncert.net import Network, ShapeError
 from bnncert.posterior import GaussianPosterior, WeightBox
 from bnncert.propagate import propagate
-from bnncert.spec import InputBox, OutputSpec, argmax_spec
+from bnncert.spec import InputBox, OutputSpec, argmax_spec, contains
 from bnncert.trainer import HmcConfig, hcas_label, make_hcas_like, sample_hmc
 
 from conftest import random_net
@@ -304,3 +306,106 @@ def test_sweep_memory_does_not_grow_with_the_cells(hcas_sized):
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6        # about 0.7 MB in chunks; 2.1 MB in one pass
+
+
+def test_lbp_sweep_memory_does_not_grow_with_the_cells(hcas_sized):
+    net, post, T, S, cfg, boxes = hcas_sized
+    cfg = dataclasses.replace(cfg, method="lbp")
+
+    def sweep():
+        psafe_lower(net, post, T, S, cfg, boxes)
+        psafe_upper(net, post, T, S, cfg, boxes)
+
+    sweep()
+    tracemalloc.start()
+    try:
+        sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6        # one pair per call; 26 cells a call is 14 MB
+
+
+def wide_lbp_job(num_samples):
+    """LBP on [4,128,128,5], each pair's bounding functions over 2**14
+    entries, with one region and num_samples disjoint boxes."""
+    net = Network.dense([4, 128, 128, 5])
+    rng = np.random.default_rng(1)
+    post = GaussianPosterior(mean=rng.normal(0, 0.1, net.n_weights),
+                             variance=np.full(net.n_weights, 1e-4))
+    cfg = CertifyConfig(num_samples=num_samples, gamma=2.5, method="lbp")
+    boxes = box_set(post, cfg)
+    assert len(boxes.masses) == num_samples
+    x = rng.uniform(-1, 1, net.input_dim)
+    return net, post, InputBox(lower=x - 0.01, upper=x + 0.01), cfg, boxes
+
+
+def test_wide_lbp_memory_does_not_grow_with_the_boxes():
+    net, post, T, cfg, boxes = wide_lbp_job(16)
+    tracemalloc.start()
+    try:
+        psafe_lower(net, post, T, argmax_spec(0, 5), cfg, boxes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6          # as one pair alone; 16 boxes a call is 20 MB
+
+
+def lbp_pair_shapes(monkeypatch):
+    """Record the broadcast (region, box) shape of every lbp_forward call."""
+    shapes = []
+
+    def counted(net, T, R, _real=propagate_mod.lbp_forward):
+        shapes.append(np.broadcast_shapes(T.lower.shape[:-1],
+                                          R.lower.shape[:-1]))
+        return _real(net, T, R)
+    monkeypatch.setattr(propagate_mod, "lbp_forward", counted)
+    return shapes
+
+
+def test_lbp_pairs_per_call_follow_the_chunk_rule(monkeypatch):
+    shapes = lbp_pair_shapes(monkeypatch)
+    net = Network.dense([2, 8, 2])
+    rng = np.random.default_rng(4)
+    post = GaussianPosterior(mean=rng.normal(0, 0.5, net.n_weights),
+                             variance=np.full(net.n_weights, 0.01))
+    cfg = CertifyConfig(num_samples=3, gamma=0.5, method="lbp")
+    boxes = box_set(post, cfg)
+    K = len(boxes.masses)
+    c = rng.uniform(-1, 1, (5, net.input_dim))
+    T = InputBox(lower=c - 0.05, upper=c + 0.05)
+    for fn in (psafe_lower, psafe_upper):
+        fn(net, post, T, argmax_spec(0, 2), cfg, boxes)
+    # 2**14 // (8 rows x (2 + 8) coefficients) = 204 pairs: all in one call.
+    assert shapes == [(5, K), (5, K)]
+
+    shapes.clear()
+    net, post, T, cfg, boxes = wide_lbp_job(2)
+    T2 = InputBox(lower=np.stack([T.lower, T.lower + 0.5]),
+                  upper=np.stack([T.upper, T.upper + 0.5]))
+    psafe_lower(net, post, T2, argmax_spec(0, 5), cfg, boxes)
+    # 128 x (4 + 128 + 128) = 33,280 entries: one pair per call.
+    assert shapes == [(1, 1)] * 4
+
+
+def test_box_axis_splits_when_one_region_exceeds_the_budget(hcas_sized,
+                                                            monkeypatch):
+    net, post, T, S, _, _ = hcas_sized
+    cfg = CertifyConfig(num_samples=30, gamma=0.5)
+    boxes = box_set(post, cfg)
+    assert len(boxes.masses) == 30
+    calls = []
+
+    def counted(net, T, R, method, _real=certify.propagate):
+        calls.append(len(R.lower))
+        return _real(net, T, R, method)
+    monkeypatch.setattr(certify, "propagate", counted)
+    lows = psafe_lower(net, post, InputBox(lower=T.lower[:2], upper=T.upper[:2]),
+                       S[:2], cfg, boxes)
+    # 2**14 // (125 x 5 products) = 26 pairs: one region, boxes 26 + 4.
+    assert calls == [26, 4, 26, 4]
+    for cert, Tm, Sm in zip(lows, regions(T)[:2], S):
+        yL, yU = propagate(net, Tm, boxes.boxes)
+        flags = [float(contains(Sm, a, b)) for a, b in zip(yL, yU)]
+        assert cert.value == boxes.mean_bound(np.array(flags), 0.0, 1.0,
+                                              lower=True)[0]

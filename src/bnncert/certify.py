@@ -392,30 +392,25 @@ def median_bounds(entries) -> tuple[float, float]:
     entries: iterable of (yL, yU, mass) for pairwise-disjoint weight boxes.
     The uncaptured mass (1 - sum of masses) could sit anywhere, so it is
     pushed below the lowest box for the lower bound and above the highest
-    for the upper bound; the bound is the output endpoint where the shifted
-    cumulative mass crosses one half.
+    for the upper bound. One walk serves both, up the lower ends or down
+    the upper ends (ties in input order), and stops at the endpoint where
+    the shifted cumulative mass crosses one half.
     """
     entries = [(float(a), float(b), float(m)) for a, b, m in entries]
     eta = 1.0 - sum(m for _, _, m in entries)
     if eta >= 0.5 - 1e-15:
         raise ValueError("captured mass must exceed one half to bound the median")
-    lo_sorted = sorted(entries, key=lambda e: e[0])
-    cum = eta
-    median_lower = lo_sorted[-1][0]
-    for yL, _, m in lo_sorted:
-        cum += m
-        if cum >= 0.5:
-            median_lower = yL
-            break
-    hi_sorted = sorted(entries, key=lambda e: e[1], reverse=True)
-    cum = eta
-    median_upper = hi_sorted[-1][1]
-    for _, yU, m in hi_sorted:
-        cum += m
-        if cum >= 0.5:
-            median_upper = yU
-            break
-    return median_lower, median_upper
+
+    def crossing(end: int, reverse: bool) -> float:
+        walk = sorted(entries, key=lambda e: e[end], reverse=reverse)
+        cum = eta
+        for e in walk:
+            cum += e[2]
+            if cum >= 0.5:
+                return e[end]
+        return walk[-1][end]
+
+    return crossing(0, reverse=False), crossing(1, reverse=True)
 
 
 def k0_decision_check(lower_bounds, penalties) -> int | None:

@@ -35,8 +35,7 @@ def _probe_points(net: Network, T: InputBox, w_attack: np.ndarray,
     pts = [T.center, T.lower, T.upper]
     pts.extend(T.sample(rng, max(n_grid - 3, 0)))
     acfg = attack_mod.AttackConfig(seed=seed)
-    for w in np.atleast_2d(w_attack):
-        pts.append(attack_mod.pgd(net, w, T, S, acfg))
+    pts.extend(attack_mod.pgd(net, np.atleast_2d(w_attack), T, S, acfg))
     return np.stack(pts)
 
 

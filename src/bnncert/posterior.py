@@ -203,7 +203,8 @@ def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
                       depth_lower: int = 2, depth_upper: int = 1) -> tuple[float, float]:
     """Two-sided bounds on the posterior mass of a union of (possibly
     overlapping) boxes: inclusion-exclusion truncated at an even depth
-    (lower bound) and at an odd depth (upper bound)."""
+    (lower bound) and at an odd depth (upper bound), each summing a prefix
+    of one term list integrated to the deeper of the two depths."""
     if depth_lower % 2 != 0 or depth_lower < 2:
         raise ValueError("depth_lower must be an even integer >= 2")
     if depth_upper % 2 != 1 or depth_upper < 1:
@@ -212,10 +213,9 @@ def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
     stack = WeightBox(lower=np.reshape([b.lower for b in boxes], shape),
                       upper=np.reshape([b.upper for b in boxes], shape))
     singles = sum(box_mass(posterior, stack))
-    lower = sum((m for _, m in inclusion_exclusion(stack, posterior,
-                                                   depth_lower)), singles)
-    upper = sum((m for _, m in inclusion_exclusion(stack, posterior,
-                                                   depth_upper)), singles)
+    terms = inclusion_exclusion(stack, posterior, max(depth_lower, depth_upper))
+    lower = sum((m for J, m in terms if len(J) <= depth_lower), singles)
+    upper = sum((m for J, m in terms if len(J) <= depth_upper), singles)
     return float(np.clip(lower, 0.0, 1.0)), float(np.clip(upper, 0.0, 1.0))
 
 

@@ -168,8 +168,9 @@ def relax_activation(kind: str, zl, zu):
 # ---------------------------------------------------------------------------
 # Linear bound propagation
 #
-# Both McCormick forms of layer l anchor at one reference vector zref_l (the
-# input's lower corner for layer 0, the post-activation lower bound of the
+# The input is its own LBF (mu = I, no weight terms, lam = 0), so every layer
+# takes one McCormick step. Both forms of layer l anchor at one reference
+# vector zref_l (T.lower for layer 0, the post-activation lower bound of the
 # layer before otherwise), and every later step only mixes rows. So the
 # coefficient of W^(l)[r, c] in an LBF row i is always C_l[i, r] * zref_l[c]:
 # an LBF stores C_l, and the weight box enters through zref_l . W_r alone.
@@ -248,49 +249,34 @@ def _bilinear_lbf(A, b_end, zref, zL_f, zU_f, lower_side: bool):
 
 
 def lbp_forward(net: Network, T: InputBox, R: WeightBox):
-    """Output bounding box via linear bound propagation.
+    """Output bounding box via linear bound propagation, one McCormick step
+    per layer.
 
-    Intermediate pre-activation intervals come from optimizing the current
-    LBFs analytically over (T, R), intersected with IBP's intervals at the
-    same layer, which is sound and never looser than either method alone.
+    Each layer's pre-activation interval comes from optimizing its LBFs
+    analytically over (T, R), intersected with IBP's interval at the same
+    layer, which is sound and never looser than either method alone.
     T and R may carry leading axes, which broadcast as in
     ``ibp_layer_intervals``; every LBF array carries the broadcast axes.
     """
-    wboxes = _unpack_box(net, R)
     ibp_pre = ibp_layer_intervals(net, T, R)
-
-    # First layer: McCormick on W x directly (both forms anchor at x^L).
-    WL0, WU0, bL0, bU0 = wboxes[0]
-    ranges = [_ref_range(WL0, WU0, T.lower)]
-    own = np.eye(WL0.shape[-2])
-    fL = LinearBoundingFunction(mu=WL0, coef=[own], lam=bL0 - _matvec(WL0, T.lower))
-    fU = LinearBoundingFunction(mu=WU0, coef=[own], lam=bU0 - _matvec(WU0, T.lower))
-
-    for k in range(len(net.layers) - 1):
-        zetaL = _lbf_extreme(fL, T, ranges, minimize=True)
-        zetaU = _lbf_extreme(fU, T, ranges, minimize=False)
-        zetaL = np.maximum(zetaL, ibp_pre[k][0])
-        zetaU = np.minimum(zetaU, ibp_pre[k][1])
+    fL = fU = LinearBoundingFunction(mu=np.eye(net.input_dim), coef=[],
+                                     lam=np.zeros(net.input_dim))
+    z_lo, ranges = T.lower, []
+    for k, (WL, WU, bL, bU) in enumerate(_unpack_box(net, R)):
+        ranges.append(_ref_range(WL, WU, z_lo))
+        fL, fU = (_bilinear_lbf(WL, bL, z_lo, fL, fU, lower_side=True),
+                  _bilinear_lbf(WU, bU, z_lo, fL, fU, lower_side=False))
+        zetaL = np.maximum(_lbf_extreme(fL, T, ranges, minimize=True), ibp_pre[k][0])
+        zetaU = np.minimum(_lbf_extreme(fU, T, ranges, minimize=False), ibp_pre[k][1])
         # Two sound bounds can cross by rounding when the interval is a point.
         zetaL = np.minimum(zetaL, zetaU)
+        if k == len(net.layers) - 1:
+            return zetaL, zetaU
         act = net.layers[k].activation
         aL, bL, aU, bU = relax_activation(act, zetaL, zetaU)
-        zL_f = _scale_rows(fL, fU, aL, bL, lower_side=True)
-        zU_f = _scale_rows(fL, fU, aU, bU, lower_side=False)
-        # Post-activation interval endpoints (activations are monotone).
-        z_lo = activate(act, zetaL)
-
-        WLn, WUn, bLn, bUn = wboxes[k + 1]
-        ranges.append(_ref_range(WLn, WUn, z_lo))
-        fL = _bilinear_lbf(WLn, bLn, z_lo, zL_f, zU_f, lower_side=True)
-        fU = _bilinear_lbf(WUn, bUn, z_lo, zL_f, zU_f, lower_side=False)
-
-    yL = _lbf_extreme(fL, T, ranges, minimize=True)
-    yU = _lbf_extreme(fU, T, ranges, minimize=False)
-    yL = np.maximum(yL, ibp_pre[-1][0])
-    yU = np.minimum(yU, ibp_pre[-1][1])
-    yL = np.minimum(yL, yU)
-    return yL, yU
+        fL, fU = (_scale_rows(fL, fU, aL, bL, lower_side=True),
+                  _scale_rows(fL, fU, aU, bU, lower_side=False))
+        z_lo = activate(act, zetaL)     # post-activation lower end (monotone)
 
 
 def propagate(net: Network, T: InputBox, R: WeightBox, method: str = "ibp"):

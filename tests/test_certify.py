@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnncert.certify import (CertifyConfig, Task, decision_robust, dsafe_lower,
+from bnncert.certify import (CertifyConfig, Task, decision_robust,
+                             dsafe_bounds_all_classes, dsafe_lower,
                              dsafe_upper, k0_decision_check, median_bounds,
                              output_best, output_worst, psafe_lower,
                              psafe_upper, uncertainty_check)
@@ -231,6 +232,22 @@ class TestDecisionRules:
         post = atom_posterior(W_SAFE)
         with pytest.raises(ValueError):
             uncertainty_check(NET12, post, T_UNIT, 1.5, cfg(num_samples=1))
+
+    @pytest.mark.xfail(reason=(
+        "ROADMAP item 7: output_worst/output_best and BoxSet.mean_bound round "
+        "to nearest, so both uppers read 0.49999999999999994 below the mean 0.5"))
+    def test_uppers_reach_mean_in_floating_point(self):
+        # atom A: logits (0, 20); atom B: logits (20, 0); seed 0 draws both
+        a, b = np.array([0.0, 0, 0, 20]), np.array([0.0, 0, 20, 0])
+        post = atom_posterior(a, b)
+        T = InputBox.point(np.zeros(1))
+        drawn = {tuple(sample(post, (0, i))) for i in range(8)}
+        assert drawn == {tuple(a), tuple(b)}
+        means = post.weights @ softmax(forward(NET12, post.samples, T.center))
+        assert means.tolist() == [0.5, 0.5]
+        _, uppers = dsafe_bounds_all_classes(NET12, post, T, cfg())
+        assert np.all(uppers >= means)
+        assert not uncertainty_check(NET12, post, T, 0.5, cfg())
 
 
 class TestMedianBounds:

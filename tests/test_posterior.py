@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from bnncert import posterior as posterior_mod
 from bnncert.posterior import (GaussianPosterior, SamplePosterior, WeightBox,
                                bonferroni_bounds, box_mass, disjointify,
-                               make_box, sample)
+                               inclusion_exclusion, make_box, sample)
 
 STD_NORMAL = GaussianPosterior(mean=np.zeros(1), variance=np.ones(1))
 
@@ -190,6 +191,27 @@ class TestBonferroni:
 
     def test_empty_list(self):
         assert bonferroni_bounds([], STD_NORMAL, 2, 1) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("depths", [(2, 1), (2, 3), (4, 3), (4, 5)])
+    def test_intersections_integrated_once(self, monkeypatch, depths):
+        # Both bounds sum a prefix of one term list, integrated to the
+        # deeper depth, with the bits of one enumeration per depth.
+        boxes = [WeightBox(lower=np.array([a]), upper=np.array([a + 1.5]))
+                 for a in (-1.0, -0.5, 0.0, 0.25, 0.5)]
+        stack = WeightBox(lower=np.array([b.lower for b in boxes]),
+                          upper=np.array([b.upper for b in boxes]))
+        singles = sum(box_mass(STD_NORMAL, stack))
+        want = [float(np.clip(sum((m for _, m in inclusion_exclusion(
+            stack, STD_NORMAL, d)), singles), 0.0, 1.0)) for d in depths]
+        calls = []
+
+        def counting(boxes, posterior, depth):
+            calls.append(depth)
+            return inclusion_exclusion(boxes, posterior, depth)
+
+        monkeypatch.setattr(posterior_mod, "inclusion_exclusion", counting)
+        assert list(bonferroni_bounds(boxes, STD_NORMAL, *depths)) == want
+        assert calls == [max(depths)]
 
 
 def boxes_1d(*intervals):

@@ -197,8 +197,9 @@ class TestLbp:
         assert yU == pytest.approx(exactU, abs=1e-12)
 
     def test_sound_on_random_instances(self, rng):
-        for _ in range(10):
-            net = random_net(rng, max_width=12)
+        # Zero-hidden-layer nets too: there the first step is also the last.
+        for n_layers in [None] * 10 + [0] * 10:
+            net = random_net(rng, n_layers=n_layers, max_width=12)
             T, R = random_boxes(rng, net)
             yL, yU = lbp_forward(net, T, R)
             assert count_violations(net, T, R, yL, yU, 20_000, rng) == 0

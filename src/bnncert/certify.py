@@ -89,6 +89,18 @@ class BoxSet:
     terms: list                # [(J, s_J m(J))] of inclusion_exclusion
     used: int                  # boxes sampled before disjointify or dedupe
     built_for: tuple           # _box_key of the config
+    # Masses, then terms, summed once from 0.0 as a scalar loop sums them.
+    total: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "total", float(sum(
+            (m for _, m in self.terms), sum(self.masses, 0.0))))
+
+    def serves(self, posterior: Posterior, cfg: CertifyConfig) -> bool:
+        """Whether this is the set ``box_set(posterior, cfg)`` builds: the
+        same posterior object (whose arrays are read-only) and the same
+        box-deciding config fields."""
+        return self.posterior is posterior and self.built_for == _box_key(cfg)
 
     def mean_bound(self, psi, lo: float, hi: float, lower: bool):
         """Bound on the posterior mean of any f with lo <= f <= hi that is
@@ -108,15 +120,14 @@ class BoxSet:
         sigma, pick = (lo, np.min) if lower else (hi, np.max)
         acc = np.zeros(psi.shape[:-1] + (psi.shape[-1] + 1,))
         np.multiply(self.masses, psi, out=acc[..., 1:])
-        acc = np.cumsum(acc, axis=-1)[..., -1]
+        acc = np.add.accumulate(acc, axis=-1)[..., -1]
         for J, m in self.terms:
             acc += m * pick(psi[..., list(J)], axis=-1)
-        total = float(sum((m for _, m in self.terms), sum(self.masses, 0.0)))
-        value = acc + sigma * (1.0 - min(total, 1.0))
+        value = acc + sigma * (1.0 - min(self.total, 1.0))
         # Python's min(max(value, lo), hi): a bound only where strictly out.
         value = np.where(lo > value, lo, value)
         value = np.where(hi < value, hi, value)
-        return value, min(max(total, 0.0), 1.0)
+        return value, min(max(self.total, 0.0), 1.0)
 
 
 def box_set(posterior: Posterior, cfg: CertifyConfig) -> BoxSet:
@@ -171,7 +182,7 @@ def _over_regions(net, posterior, T: InputBox, S, cfg, boxes,
     from the box center). Returns the box set, specs and (M, K, n_out) bounds."""
     if boxes is None:
         boxes = box_set(posterior, cfg)
-    elif boxes.posterior is not posterior or boxes.built_for != _box_key(cfg):
+    elif not boxes.serves(posterior, cfg):
         raise ValueError("box set was built for another posterior or for "
                          "other num_samples/gamma/margin_scale/rng_seed/"
                          "bonferroni values")

@@ -16,16 +16,25 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of a, so a posterior object's identity
+    implies its values (box sets are reused on that identity)."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianPosterior:
-    """Diagonal-Gaussian posterior over the flat weight vector."""
+    """Diagonal-Gaussian posterior over the flat weight vector; its arrays
+    are read-only copies."""
 
     mean: np.ndarray
     variance: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mean, dtype=float).reshape(-1)
-        v = np.asarray(self.variance, dtype=float).reshape(-1)
+        m = _frozen(self.mean).reshape(-1)
+        v = _frozen(self.variance).reshape(-1)
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "variance", v)
         if m.shape != v.shape:
@@ -46,14 +55,15 @@ class GaussianPosterior:
 
 @dataclass(frozen=True, eq=False)
 class SamplePosterior:
-    """Discrete posterior given by weighted weight-vector atoms (e.g. HMC)."""
+    """Discrete posterior given by weighted weight-vector atoms (e.g. HMC);
+    its arrays are read-only copies."""
 
     samples: np.ndarray
     weights: np.ndarray | None = None
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        s = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        s = np.atleast_2d(_frozen(self.samples))
         object.__setattr__(self, "samples", s)
         if s.shape[0] < 1:
             raise ValueError("need at least one sample")
@@ -61,8 +71,7 @@ class SamplePosterior:
         w = self.weights
         if w is None:
             w = np.full(s.shape[0], 1.0 / s.shape[0])
-        else:
-            w = np.asarray(w, dtype=float).reshape(-1)
+        w = _frozen(w).reshape(-1)
         object.__setattr__(self, "weights", w)
         if w.shape[0] != s.shape[0]:
             raise ShapeError("one weight per sample required")
@@ -223,11 +232,12 @@ def disjointify(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Row indices of a greedy pairwise-disjoint subset of the boxes
     [lower[i], upper[i]]: keep each box unless it intersects an already-kept
     one. Earlier boxes win, so results are order-dependent but
-    deterministic. Each candidate is tested against every earlier box in
-    one array expression, masked to the kept ones: boxes meet iff each
-    one's lower corner lies below the other's upper corner."""
-    kept = np.zeros(len(lower), dtype=bool)
+    deterministic. Each kept box clears every later box it meets in one
+    array expression, so only kept boxes are tested against others: boxes
+    meet iff each one's lower corner lies below the other's upper corner."""
+    alive = np.ones(len(lower), dtype=bool)
     for i in range(len(lower)):
-        meets = np.all((lower[:i] <= upper[i]) & (lower[i] <= upper[:i]), axis=1)
-        kept[i] = not np.any(meets & kept[:i])
-    return np.flatnonzero(kept)
+        if alive[i]:
+            alive[i + 1:] &= ~np.all((lower[i + 1:] <= upper[i])
+                                     & (lower[i] <= upper[i + 1:]), axis=1)
+    return np.flatnonzero(alive)

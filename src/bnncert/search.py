@@ -5,7 +5,9 @@ P_safe above tau_safe; MinUR is the smallest epsilon whose ball is
 certified below tau_unsafe. Both walk a fixed epsilon grid (linear, not
 bisection: the sampled bounds are only monotone when the certify seed is
 held fixed, which the search does) and reuse the same weight boxes at
-every step: each search builds its box set once.
+every step. A point's two searches share one set: both take it from a
+one-entry memo of the last set built, which serves them while the
+posterior object and the box-deciding config fields stay the same.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import (Certificate, CertifyConfig, box_set, psafe_lower,
-                      psafe_upper)
+from .certify import (BoxSet, Certificate, CertifyConfig, box_set,
+                      psafe_lower, psafe_upper)
 from .net import Network
 from .posterior import Posterior
 from .spec import OutputSpec, linf_ball
@@ -56,6 +58,20 @@ class RadiusResult:
     vacuous: bool = False
 
 
+# The last box set built. It holds its posterior, so that object's id cannot
+# be reused by another posterior while the set is cached.
+_last_set: BoxSet | None = None
+
+
+def _shared_box_set(posterior: Posterior, cfg: CertifyConfig) -> BoxSet:
+    """``box_set(posterior, cfg)``, reusing the last set built when it
+    serves the same posterior and config (MaxRR then MinUR at one point)."""
+    global _last_set
+    if _last_set is None or not _last_set.serves(posterior, cfg):
+        _last_set = box_set(posterior, cfg)
+    return _last_set
+
+
 def _up_grid(start, step, cap):
     eps = start
     while eps <= cap + 1e-12:
@@ -73,7 +89,7 @@ def max_robust_radius(net: Network, posterior: Posterior, x: np.ndarray,
     search stops at the first failure.
     """
     res = RadiusResult(radius=0.0)
-    boxes = box_set(posterior, cfg)
+    boxes = _shared_box_set(posterior, cfg)
     for eps in _up_grid(scfg.eps_start_safe, scfg.step, scfg.eps_cap):
         T = linf_ball(x, eps, scfg.clip)
         cert = psafe_lower(net, posterior, T, S, cfg, boxes=boxes)
@@ -110,7 +126,7 @@ def min_unrobust_radius(net: Network, posterior: Posterior, x: np.ndarray,
         res.certificates.append(cert)
         return cert.value < scfg.tau_unsafe
 
-    boxes = box_set(posterior, cfg)
+    boxes = _shared_box_set(posterior, cfg)
     res = RadiusResult(radius=scfg.eps_cap, vacuous=True)
     eps0 = round(scfg.eps_start_unsafe, 12)
     if check(eps0):

@@ -116,6 +116,39 @@ def test_disjointify_keeps_the_pairwise_greedy_indices(rng):
     assert len(disjointify(np.empty((0, 2)), np.empty((0, 2)))) == 0
 
 
+def masked_greedy(lower, upper):
+    """The earlier disjointify loop: every candidate against every earlier
+    box in one expression, masked to the kept ones."""
+    kept = np.zeros(len(lower), dtype=bool)
+    for i in range(len(lower)):
+        meets = np.all((lower[:i] <= upper[i]) & (lower[i] <= upper[:i]), axis=1)
+        kept[i] = not np.any(meets & kept[:i])
+    return np.flatnonzero(kept)
+
+
+def test_disjointify_equals_the_masked_loop(rng):
+    """Duplicate rows, zero-width atoms and touching faces: integer corners
+    and widths of 0 or 1 make lower == upper across boxes common."""
+    for n in [0, 1, 1] + rng.integers(2, 40, 80).tolist():
+        d = int(rng.integers(1, 4))
+        if rng.uniform() < 0.5:
+            lower = rng.integers(-2, 3, (n, d)).astype(float)
+            width = rng.integers(0, 2, (n, d)).astype(float)
+        else:
+            lower = rng.uniform(-1, 1, (n, d))
+            width = rng.uniform(0, 0.6, (n, d))
+        width *= rng.uniform(size=(n, 1)) > 0.3        # zero-width atoms
+        upper = lower + width
+        dup = np.flatnonzero(rng.uniform(size=n) < 0.3)
+        src = rng.integers(0, n, len(dup)) if n else dup
+        lower[dup], upper[dup] = lower[src], upper[src]
+        got, want = disjointify(lower, upper), masked_greedy(lower, upper)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # Faces that touch meet, so the later box goes.
+    assert disjointify(np.array([[0.0], [1.0]]),
+                       np.array([[1.0], [2.0]])).tolist() == [0]
+
+
 @pytest.mark.parametrize("act", ["relu", "tanh"])
 def test_pgd_over_stacked_weights_equals_single_calls(act):
     rng = np.random.default_rng(5)
@@ -261,6 +294,41 @@ def test_search_samples_once_per_call(fn, monkeypatch):
     res = fn(net, post, np.zeros(1), argmax_spec(0, 2), cfg, scfg)
     assert len(res.epsilons) > 1
     assert len(calls) == cfg.num_samples
+
+
+def test_a_points_two_searches_build_one_box_set(hmc_atoms, monkeypatch):
+    """MaxRR then MinUR on one posterior and config sample the boxes once;
+    another posterior object, rng_seed or gamma builds a new set, and every
+    result equals the one from a set built afresh for each search."""
+    net, hmc = hmc_atoms
+    X, Y = make_blobs(2, seed=[1, 7])
+    x, S = X[0], argmax_spec(int(Y[0]), 2)
+    cfg = CertifyConfig(num_samples=64, gamma=0.0, rng_seed=3,
+                        attack=AttackConfig(iterations=10, restarts=2))
+    scfg = RadiusSearchConfig(tau_safe=0.7, tau_unsafe=0.7, eps_start_safe=0.1,
+                              eps_start_unsafe=1.0, step=0.1, eps_cap=1.3)
+
+    def twin():
+        return SamplePosterior(samples=hmc.samples, weights=hmc.weights)
+
+    def search_pair(posts, cfg):
+        return [(r.radius, r.epsilons, r.values, r.vacuous,
+                 [c.covered_mass for c in r.certificates])
+                for r in (fn(net, p, x, S, cfg, scfg) for fn, p in
+                          zip((max_robust_radius, min_unrobust_radius), posts))]
+
+    post, other = twin(), twin()
+    seed4 = dataclasses.replace(cfg, rng_seed=4)
+    runs = [(post, cfg), (other, cfg), (other, seed4),
+            (other, dataclasses.replace(seed4, gamma=0.5))]
+    calls = counting(monkeypatch, certify, "sample")
+    got, sampled = [], []
+    for p, c in runs:
+        calls.clear()
+        got.append(search_pair((p, p), c))
+        sampled.append(len(calls))
+    assert sampled == [cfg.num_samples] * len(runs)
+    assert got == [search_pair((twin(), twin()), c) for _, c in runs]
 
 
 @pytest.mark.parametrize("change", [

@@ -231,6 +231,23 @@ class TestDisjointify:
         assert list(disjointify(*boxes_1d((0, 1), (2, 3), (0.5, 2.5)))) == [0, 1]
 
 
+def test_posterior_arrays_are_read_only_copies():
+    """A posterior's identity implies its values: writing to its arrays
+    raises, and the caller's own arrays stay writable and unshared."""
+    mean, var = np.zeros(3), np.ones(3)
+    samples, weights = np.zeros((2, 3)), np.full(2, 0.5)
+    gauss = GaussianPosterior(mean=mean, variance=var)
+    atoms = SamplePosterior(samples=samples, weights=weights)
+    for view in (gauss.mean, gauss.variance, atoms.samples, atoms.weights,
+                 SamplePosterior(samples=samples).weights):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1.0
+    for own, kept in ((mean, gauss.mean), (var, gauss.variance),
+                      (samples, atoms.samples), (weights, atoms.weights)):
+        own.fill(7.0)
+        assert not np.shares_memory(own, kept) and not np.any(kept == 7.0)
+
+
 def test_sample_posterior_validation():
     with pytest.raises(ValueError):
         SamplePosterior(samples=np.array([[1.0]]), weights=np.array([0.5]))

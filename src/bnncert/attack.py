@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Network, ShapeError, backprop, forward
-from .spec import InputBox, OutputSpec
+from .net import Network, backprop, forward
+from .spec import InputBox, OutputSpec, stack_specs
 
 
 @dataclass
@@ -23,22 +23,6 @@ class AttackConfig:
     def __post_init__(self):
         if self.iterations < 1 or self.restarts < 1:
             raise ValueError("iterations and restarts must be >= 1")
-
-
-def _stack_specs(S, M: int):
-    """Constraints of one spec, or of M specs padded to a common row count
-    with rows that never bind (0 . y + inf), as arrays (M or 1, r, n_out)
-    and (M or 1, r)."""
-    if isinstance(S, OutputSpec):
-        return S.C[None], S.d[None]
-    if len(S) != M:
-        raise ShapeError(f"{len(S)} specs for {M} regions")
-    r = max(s.C.shape[0] for s in S)
-    C = np.zeros((M, r, S[0].n_outputs))
-    d = np.full((M, r), np.inf)
-    for m, s in enumerate(S):
-        C[m, :len(s.d)], d[m, :len(s.d)] = s.C, s.d
-    return C, d
 
 
 def pgd(net: Network, w: np.ndarray, T: InputBox,
@@ -67,7 +51,7 @@ def pgd(net: Network, w: np.ndarray, T: InputBox,
     ws = np.atleast_2d(w)
     lo, hi = np.atleast_2d(T.lower)[:, None], np.atleast_2d(T.upper)[:, None]
     K, (M, _, n_in), R = len(ws), lo.shape, acfg.restarts
-    C, d = _stack_specs(S, M)
+    C, d = stack_specs(S, M, net.output_dim)
     rows = np.arange(len(C))[:, None]
 
     def spec_margin(y):

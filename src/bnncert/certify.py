@@ -21,7 +21,8 @@ from .net import Network, ShapeError
 from .posterior import (Posterior, WeightBox, box_mass, disjointify,
                         inclusion_exclusion, make_box, sample)
 from .propagate import propagate
-from .spec import InputBox, OutputSpec, contains, excludes
+from .spec import (InputBox, OutputSpec, contains, excludes, margins,
+                   stack_specs)
 
 
 @dataclass
@@ -179,7 +180,8 @@ def _over_regions(net, posterior, T: InputBox, S, cfg, boxes,
     """The one propagate body behind every certificate and the only code that
     batches pairs: regions T, (n_in,) or (M, n_in), with specs S (one, M or
     None) meet every box in chunks (with ``attack``, at each pair's PGD point
-    from the box center). Returns the box set, specs and (M, K, n_out) bounds."""
+    from the box center). Returns the box set, the specs stacked by
+    ``stack_specs`` (None without S) and (M, K, n_out) bounds."""
     if boxes is None:
         boxes = box_set(posterior, cfg)
     elif not boxes.serves(posterior, cfg):
@@ -190,9 +192,7 @@ def _over_regions(net, posterior, T: InputBox, S, cfg, boxes,
     if lo.ndim != 2:
         raise ShapeError("regions must have shape (n_in,) or (M, n_in)")
     M, K = len(lo), len(boxes.masses)
-    specs = [S] * M if S is None or isinstance(S, OutputSpec) else list(S)
-    if len(specs) != M:
-        raise ShapeError(f"{len(specs)} specs for {M} regions")
+    specs = None if S is None else stack_specs(S, M, net.output_dim)
     # IBP's corner products per layer, or LBP's bounding functions of layer
     # l, rows_l x (n_in + rows_0 + ... + rows_l) coefficients.
     pairs = max(1, _CHUNK_ENTRIES // max(
@@ -205,7 +205,8 @@ def _over_regions(net, posterior, T: InputBox, S, cfg, boxes,
         cells = slice(first, first + chunk)
         if attack:
             x = attack_mod.pgd(net, boxes.boxes.center, InputBox(
-                lower=lo[cells], upper=hi[cells]), specs[cells],
+                lower=lo[cells], upper=hi[cells]),
+                S if isinstance(S, OutputSpec) else S[cells],
                 cfg.attack or attack_mod.AttackConfig())
         for ks in (slice(k, k + step) for k in range(0, K, step)):
             Tc = (InputBox.point(x[:, ks]) if attack else
@@ -216,16 +217,18 @@ def _over_regions(net, posterior, T: InputBox, S, cfg, boxes,
     return boxes, specs, yL, yU
 
 
-def _psafe(net, posterior, T: InputBox, S, cfg, boxes, upper: bool):
-    """Both P_safe bounds: one flag per (region, box) from ``contains``
-    (lower) or ``excludes`` at the attack point (upper)."""
+def _psafe(net, posterior, T: InputBox, S, cfg, boxes, check):
+    """Both P_safe bounds. Each (region, box) pair gets the flag that
+    ``check`` returns for its spec and output box: ``contains`` for the
+    lower bound, ``excludes`` at the attack point for the upper bound. One
+    ``margins`` call gives the flags of every pair."""
     t0 = time.perf_counter()
-    check = excludes if upper else contains
-    boxes, specs, yL, yU = _over_regions(net, posterior, T, S, cfg, boxes,
-                                         attack=upper)
-    flags = np.reshape([[float(check(s, a, b)) for a, b in zip(cell_L, cell_U)]
-                        for s, cell_L, cell_U in zip(specs, yL, yU)],
-                       yL.shape[:2])
+    upper = check is excludes
+    boxes, (C, d), yL, yU = _over_regions(net, posterior, T, S, cfg, boxes,
+                                          attack=upper)
+    low, high = margins(C[:, None], d[:, None], yL, yU)
+    flags = (high.min(axis=-1) < 0.0 if upper else
+             low.min(axis=-1) >= 0.0).astype(float)
     values, covered = boxes.mean_bound(flags, 0.0, 1.0, lower=True)
     wall_time = (time.perf_counter() - t0) / max(len(flags), 1)
     certs = [_certificate("psafe", "upper" if upper else "lower",
@@ -248,7 +251,7 @@ def psafe_lower(net: Network, posterior: Posterior, T: InputBox,
     batch's time divided by M. The regions go through in chunks of cells.
     ``boxes``, from ``box_set(posterior, cfg)``, saves building the boxes
     again; without it they are built here."""
-    return _psafe(net, posterior, T, S, cfg, boxes, upper=False)
+    return _psafe(net, posterior, T, S, cfg, boxes, contains)
 
 
 def psafe_upper(net: Network, posterior: Posterior, T: InputBox,
@@ -263,7 +266,7 @@ def psafe_upper(net: Network, posterior: Posterior, T: InputBox,
     attack merely skips the box, which keeps the bound sound (if loose).
     Regions, specs, results and ``boxes`` are as in ``psafe_lower``.
     """
-    return _psafe(net, posterior, T, S, cfg, boxes, upper=True)
+    return _psafe(net, posterior, T, S, cfg, boxes, excludes)
 
 
 # ---------------------------------------------------------------------------

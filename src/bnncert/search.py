@@ -2,18 +2,21 @@
 
 MaxRR is the largest epsilon whose L-infinity ball still certifies
 P_safe above tau_safe; MinUR is the smallest epsilon whose ball is
-certified below tau_unsafe. Both walk a fixed epsilon grid (linear, not
-bisection: the sampled bounds are only monotone when the certify seed is
-held fixed, which the search does) and reuse the same weight boxes at
-every step. A point's two searches share one set: both take it from a
-one-entry memo of the last set built, which serves them while the
-posterior object and the box-deciding config fields stay the same.
+certified below tau_unsafe. Both evaluate a fixed epsilon grid in region
+batches and reduce to the walk's prefix, the points a linear walk visits
+(not bisection: the sampled bounds are only monotone when the certify
+seed is held fixed, which the search does). The batches double in size,
+and every step reuses the same weight boxes. A point's two searches share
+one set: both take it from a one-entry memo of the last set built, which
+serves them while the posterior object and the box-deciding config fields
+stay the same.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -79,6 +82,54 @@ def _up_grid(start, step, cap):
         eps += step
 
 
+def _down_grid(start, step):
+    eps = start - step
+    while eps > 1e-12:
+        eps = round(eps, 12)
+        yield eps
+        eps -= step
+
+
+FIRST_BLOCK = 16        # grid points in the first region batch of a walk
+
+
+def _runner(fn, net, posterior, x, S, cfg, scfg):
+    """A function from a list of radii to the certificates of ``fn`` on
+    their balls around x, in one region-batch call on the shared box set."""
+    boxes = _shared_box_set(posterior, cfg)
+    return lambda radii: fn(
+        net, posterior, linf_ball(np.broadcast_to(x, (len(radii), len(x))),
+                                  np.asarray(radii, dtype=float)[:, None],
+                                  scfg.clip), S, cfg, boxes=boxes)
+
+
+def _walk(grid, run, done=(), size=FIRST_BLOCK):
+    """(eps, certificate) pairs: ``done``, then ``grid`` in blocks of size,
+    2 size, 4 size, ..., each passed to ``run`` once it is reached. Each
+    certificate's ``wall_time`` is its block's time over the block's size."""
+    yield from done
+    while block := list(islice(grid, size)):
+        yield from zip(block, run(block))
+        size *= 2
+
+
+def _reduce(res, name, pairs, certified, stop) -> RadiusResult:
+    """Record (eps, certificate) pairs, each certified eps as the radius, up
+    to the first pair whose ``certified(value)`` is ``stop``."""
+    for eps, cert in pairs:
+        log.debug("%s eps=%g: psafe_%s=%.6f", name, eps, cert.direction,
+                  cert.value)
+        res.epsilons.append(eps)
+        res.values.append(cert.value)
+        res.certificates.append(cert)
+        ok = certified(cert.value)
+        if ok:
+            res.radius, res.vacuous = eps, False
+        if ok == stop:
+            break
+    return res
+
+
 def max_robust_radius(net: Network, posterior: Posterior, x: np.ndarray,
                       S: OutputSpec, cfg: CertifyConfig,
                       scfg: RadiusSearchConfig) -> RadiusResult:
@@ -88,20 +139,10 @@ def max_robust_radius(net: Network, posterior: Posterior, x: np.ndarray,
     ball with a fixed seed can only shrink the certified mass, so the
     search stops at the first failure.
     """
-    res = RadiusResult(radius=0.0)
-    boxes = _shared_box_set(posterior, cfg)
-    for eps in _up_grid(scfg.eps_start_safe, scfg.step, scfg.eps_cap):
-        T = linf_ball(x, eps, scfg.clip)
-        cert = psafe_lower(net, posterior, T, S, cfg, boxes=boxes)
-        log.debug("MaxRR eps=%g: psafe_lower=%.6f", eps, cert.value)
-        res.epsilons.append(eps)
-        res.values.append(cert.value)
-        res.certificates.append(cert)
-        if cert.value > scfg.tau_safe:
-            res.radius = eps
-        else:
-            break
-    return res
+    run = _runner(psafe_lower, net, posterior, x, S, cfg, scfg)
+    grid = _up_grid(scfg.eps_start_safe, scfg.step, scfg.eps_cap)
+    return _reduce(RadiusResult(radius=0.0), "MaxRR", _walk(grid, run),
+                   lambda v: v > scfg.tau_safe, stop=False)
 
 
 def min_unrobust_radius(net: Network, posterior: Posterior, x: np.ndarray,
@@ -116,31 +157,19 @@ def min_unrobust_radius(net: Network, posterior: Posterior, x: np.ndarray,
     result carries the cap with vacuous=True, meaning 'not found', not
     'robust up to cap'.
     """
-
-    def check(eps):
-        T = linf_ball(x, eps, scfg.clip)
-        cert = psafe_upper(net, posterior, T, S, cfg, boxes=boxes)
-        log.debug("MinUR eps=%g: psafe_upper=%.6f", eps, cert.value)
-        res.epsilons.append(eps)
-        res.values.append(cert.value)
-        res.certificates.append(cert)
-        return cert.value < scfg.tau_unsafe
-
-    boxes = _shared_box_set(posterior, cfg)
-    res = RadiusResult(radius=scfg.eps_cap, vacuous=True)
+    run = _runner(psafe_upper, net, posterior, x, S, cfg, scfg)
     eps0 = round(scfg.eps_start_unsafe, 12)
-    if check(eps0):
-        res.radius, res.vacuous = eps0, False
-        eps = eps0 - scfg.step
-        while eps > 1e-12:
-            eps = round(eps, 12)
-            if not check(eps):
-                break
-            res.radius = eps
-            eps -= scfg.step
-        return res
-    for eps in _up_grid(eps0 + scfg.step, scfg.step, scfg.eps_cap):
-        if check(eps):
-            res.radius, res.vacuous = eps, False
-            break
-    return res
+    down = _down_grid(eps0, scfg.step)
+    up = _up_grid(eps0 + scfg.step, scfg.step, scfg.eps_cap)
+    # The first block holds eps0 and the nearest points of both walks, about
+    # half each; later blocks extend only the walk taken.
+    near_up = list(islice(up, FIRST_BLOCK // 2 - 1))
+    near_down = list(islice(down, FIRST_BLOCK - 1 - len(near_up)))
+    near_up += islice(up, FIRST_BLOCK - 1 - len(near_up) - len(near_down))
+    cert0, *certs = run([eps0] + near_down + near_up)
+    walk_down = cert0.value < scfg.tau_unsafe
+    grid, near = ((down, zip(near_down, certs)) if walk_down else
+                  (up, zip(near_up, certs[len(near_down):])))
+    return _reduce(RadiusResult(radius=scfg.eps_cap, vacuous=True), "MinUR",
+                   _walk(grid, run, [(eps0, cert0), *near], 2 * FIRST_BLOCK),
+                   lambda v: v < scfg.tau_unsafe, stop=not walk_down)

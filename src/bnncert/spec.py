@@ -108,7 +108,31 @@ def argmax_spec(true_class: int, n_classes: int) -> OutputSpec:
     return OutputSpec(C=np.stack(rows), d=np.zeros(n_classes - 1))
 
 
-def _check_box(S: OutputSpec, yL: np.ndarray, yU: np.ndarray):
+def stack_specs(S, M: int, n_out: int):
+    """One spec, or M specs, as arrays C (M or 1, r, n_out) and d (M or 1,
+    r). A shorter spec repeats its last row, which keeps every minimum over
+    the rows and its first argmin; no specs give (0, 1, n_out) and (0, 1)."""
+    specs = [S] if isinstance(S, OutputSpec) else list(S)
+    if len(specs) != M and not isinstance(S, OutputSpec):
+        raise ShapeError(f"{len(specs)} specs for {M} regions")
+    if any(s.n_outputs != n_out for s in specs):
+        raise ShapeError(f"specs must have {n_out} outputs")
+    r = max((len(s.d) for s in specs), default=1)
+    rows = [np.minimum(np.arange(r), len(s.d) - 1) for s in specs]
+    return (np.reshape([s.C[i] for s, i in zip(specs, rows)], (-1, r, n_out)),
+            np.reshape([s.d[i] for s, i in zip(specs, rows)], (-1, r)))
+
+
+def margins(C, d, yL, yU):
+    """Exact lower and upper bounds, attained at corners, of every row of
+    C y + d over output boxes [yL, yU] (..., n_out), each (..., r), with C
+    (..., r, n_out) and d (..., r) broadcast against the leading axes."""
+    yL, yU, pos = yL[..., None, :], yU[..., None, :], C >= 0
+    return (np.where(pos, C * yL, C * yU).sum(axis=-1) + d,
+            np.where(pos, C * yU, C * yL).sum(axis=-1) + d)
+
+
+def _margins(S: OutputSpec, yL, yU):
     yL = np.asarray(yL, dtype=float)
     yU = np.asarray(yU, dtype=float)
     if yL.shape != yU.shape or yL.shape[0] != S.n_outputs:
@@ -117,26 +141,20 @@ def _check_box(S: OutputSpec, yL: np.ndarray, yU: np.ndarray):
         )
     if np.any(yL > yU):
         raise ValueError("output box lower bound exceeds upper bound")
-    return yL, yU
+    return margins(S.C, S.d, yL, yU)
 
 
 def contains(S: OutputSpec, yL, yU) -> bool:
-    """True iff every y in [yL, yU] satisfies all constraint rows.
-
-    The minimum of a linear form over a box is attained at a corner, so this
-    check is exact for polytopes.
-    """
-    yL, yU = _check_box(S, yL, yU)
-    worst = np.where(S.C >= 0, S.C * yL, S.C * yU).sum(axis=1) + S.d
-    return bool(np.min(worst) >= 0.0)
+    """True iff every y in [yL, yU] satisfies all constraint rows: every
+    row's lower margin is >= 0."""
+    return bool(np.min(_margins(S, yL, yU)[0]) >= 0.0)
 
 
 def excludes(S: OutputSpec, yL, yU) -> bool:
-    """True if some single row is violated by every y in [yL, yU].
+    """True if some single row is violated by every y in [yL, yU]: some
+    row's upper margin is < 0.
 
     Sound but conservative: a box outside S only via different rows at
     different points is not detected.
     """
-    yL, yU = _check_box(S, yL, yU)
-    best = np.where(S.C >= 0, S.C * yU, S.C * yL).sum(axis=1) + S.d
-    return bool(np.min(best) < 0.0)
+    return bool(np.min(_margins(S, yL, yU)[1]) < 0.0)

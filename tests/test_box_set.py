@@ -183,23 +183,30 @@ def test_backprop_over_stacked_weights_equals_single_calls(rng):
 
 
 def per_box_psafe(net, post, T, S, cfg, boxes=None, upper=False):
-    """A psafe certificate evaluated one box at a time, with the boxes built
-    afresh: one IBP call per box, and one PGD call per box for the upper
-    bound. Disjoint boxes at depth 1 reduce to a plain mass-weighted sum."""
+    """psafe certificates of a region stack evaluated one region and one box
+    at a time, with the boxes built afresh: one IBP call per box, and one
+    PGD call per box for the upper bound. Disjoint boxes at depth 1 reduce
+    to a plain mass-weighted sum."""
     boxes = [make_box(sample(post, (cfg.rng_seed, i)), cfg.gamma, post,
                       cfg.margin_scale) for i in range(cfg.num_samples)]
     kept = [boxes[i] for i in greedy_pairwise(boxes)]
-    flags = []
-    for R in kept:
-        if upper:
-            x = pgd(net, R.center, T, S, cfg.attack or AttackConfig())
-            flags.append(float(excludes(S, *ibp_forward(net, InputBox.point(x), R))))
-        else:
-            flags.append(float(contains(S, *ibp_forward(net, T, R))))
-    acc = sum(box_mass(post, R) * f for R, f in zip(kept, flags))
-    value = min(max(acc, 0.0), 1.0)
-    return certify.Certificate("psafe", "upper" if upper else "lower",
-                               1.0 - value if upper else value, 0.0, 0, 0, 0.0)
+    certs = []
+    for lo, hi in zip(T.lower, T.upper):
+        Tm = InputBox(lower=lo, upper=hi)
+        flags = []
+        for R in kept:
+            if upper:
+                x = pgd(net, R.center, Tm, S, cfg.attack or AttackConfig())
+                flags.append(float(excludes(S, *ibp_forward(
+                    net, InputBox.point(x), R))))
+            else:
+                flags.append(float(contains(S, *ibp_forward(net, Tm, R))))
+        acc = sum(box_mass(post, R) * f for R, f in zip(kept, flags))
+        value = min(max(acc, 0.0), 1.0)
+        certs.append(certify.Certificate(
+            "psafe", "upper" if upper else "lower",
+            1.0 - value if upper else value, 0.0, 0, 0, 0.0))
+    return certs
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ from bnncert.cli import _grid_cells
 from bnncert.net import Network, ShapeError
 from bnncert.posterior import GaussianPosterior, WeightBox
 from bnncert.propagate import propagate
-from bnncert.spec import InputBox, OutputSpec, argmax_spec, contains
+from bnncert.spec import InputBox, OutputSpec, argmax_spec, contains, excludes
 from bnncert.trainer import HmcConfig, hcas_label, make_hcas_like, sample_hmc
 
 from conftest import random_net
@@ -183,6 +183,45 @@ def test_one_region_in_a_stack_gives_a_list():
         assert fn(net, post, empty, [], cfg) == []
         with pytest.raises(ShapeError, match="specs"):
             fn(net, post, T, [argmax_spec(0, 2)] * 2, cfg)
+
+
+@pytest.mark.parametrize("n_out", [3, 10])
+def test_psafe_flags_equal_per_pair_checks(n_out, monkeypatch):
+    # Integer output boxes, so many spec margins are exactly 0.0; specs with
+    # 1 to 4 rows; n_out >= 9 sums the products pairwise.
+    rng = np.random.default_rng([n_out, 2])
+    net = random_net(rng, n_layers=1, max_width=6, n_out=n_out)
+    post = GaussianPosterior(mean=rng.normal(size=net.n_weights),
+                             variance=np.full(net.n_weights, 0.01))
+    cfg = CertifyConfig(num_samples=7, gamma=1.0)
+    boxes = box_set(post, cfg)
+    M = 11
+    c = rng.uniform(-0.5, 0.5, (M, net.input_dim))
+    T = InputBox(lower=c - 0.1, upper=c + 0.1)
+    S = [OutputSpec(C=rng.integers(-2, 3, (r, n_out)), d=rng.integers(-2, 3, r))
+         for r in rng.integers(1, 5, M)]
+    outputs, flags = [], []
+
+    def fake_propagate(net, Tc, R, method):
+        shape = np.broadcast_shapes(Tc.lower.shape[:-1], (len(R.lower),))
+        yL = rng.integers(-3, 4, shape + (n_out,)).astype(float)
+        outputs.append((yL, yL + rng.integers(0, 3, yL.shape)))
+        return outputs[-1]
+
+    def record_flags(self, psi, lo, hi, lower, _real=certify.BoxSet.mean_bound):
+        flags.append(psi)
+        return _real(self, psi, lo, hi, lower)
+
+    monkeypatch.setattr(certify, "propagate", fake_propagate)
+    monkeypatch.setattr(certify.BoxSet, "mean_bound", record_flags)
+    for fn, check in ((psafe_lower, contains), (psafe_upper, excludes)):
+        outputs.clear(), flags.clear()
+        fn(net, post, T, S, cfg, boxes)
+        yL, yU = (np.concatenate(a) for a in zip(*outputs))
+        assert yL.shape == (M, len(boxes.masses), n_out)
+        assert np.array_equal(flags[0], [[float(check(s, a, b))
+                                          for a, b in zip(L, U)]
+                                         for s, L, U in zip(S, yL, yU)])
 
 
 @pytest.mark.parametrize("act", ["relu", "tanh"])

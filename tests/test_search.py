@@ -1,12 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
 
-from bnncert.certify import CertifyConfig
+from bnncert import search
+from bnncert.certify import CertifyConfig, psafe_lower, psafe_upper
 from bnncert.net import Network
 from bnncert.posterior import GaussianPosterior, SamplePosterior
-from bnncert.search import (RadiusSearchConfig, max_robust_radius,
-                            min_unrobust_radius)
-from bnncert.spec import argmax_spec
+from bnncert.search import (RadiusResult, RadiusSearchConfig,
+                            max_robust_radius, min_unrobust_radius)
+from bnncert.spec import argmax_spec, linf_ball
 
 from conftest import random_net
 
@@ -112,3 +115,99 @@ def test_config_validation():
         RadiusSearchConfig(step=0.0)
     with pytest.raises(ValueError):
         RadiusSearchConfig(eps_cap=0.01, eps_start_unsafe=0.5)
+
+
+def sequential_walks(net, post, x, S, cfg, scfg):
+    """MaxRR and MinUR as linear walks with one certificate call per grid
+    point: the rule that the batched searches reduce to."""
+    def run(fn, eps):
+        cert = fn(net, post, linf_ball(x, eps, scfg.clip), S, cfg)
+        return cert.value
+
+    maxrr = RadiusResult(radius=0.0)
+    eps = scfg.eps_start_safe
+    while eps <= scfg.eps_cap + 1e-12:
+        e = round(eps, 12)
+        maxrr.epsilons.append(e)
+        maxrr.values.append(run(psafe_lower, e))
+        if not maxrr.values[-1] > scfg.tau_safe:
+            break
+        maxrr.radius = e
+        eps += scfg.step
+
+    minur = RadiusResult(radius=scfg.eps_cap, vacuous=True)
+
+    def check(e):
+        minur.epsilons.append(e)
+        minur.values.append(run(psafe_upper, e))
+        return minur.values[-1] < scfg.tau_unsafe
+
+    eps0 = round(scfg.eps_start_unsafe, 12)
+    if check(eps0):
+        minur.radius, minur.vacuous = eps0, False
+        eps = eps0 - scfg.step
+        while eps > 1e-12:
+            eps = round(eps, 12)
+            if not check(eps):
+                break
+            minur.radius = eps
+            eps -= scfg.step
+        return maxrr, minur
+    eps = eps0 + scfg.step
+    while eps <= scfg.eps_cap + 1e-12:
+        if check(round(eps, 12)):
+            minur.radius, minur.vacuous = round(eps, 12), False
+            break
+        eps += scfg.step
+    return maxrr, minur
+
+
+def fields(res):
+    return res.radius, res.vacuous, res.epsilons, res.values
+
+
+@pytest.mark.parametrize("step", [0.03, 0.07, 0.003])
+@pytest.mark.parametrize("start_unsafe", [0.1, 0.9])
+def test_batched_walks_equal_sequential_walks(step, start_unsafe, caplog):
+    # y0 = 0.25 - x, y1 = 0: safe below |x| = 0.25, unsafe above. MinUR
+    # walks up from 0.1 and down from 0.9; step 0.003 spans several blocks.
+    post = near_point_posterior([-1.0, 0.0, 0.25, 0.0])
+    x = np.array([0.0])
+    scfg = RadiusSearchConfig(eps_start_safe=step, eps_start_unsafe=start_unsafe,
+                              step=step, eps_cap=1.0)
+    cfg = ccfg(gamma=5.0)
+    caplog.set_level(logging.DEBUG, logger="bnncert.search")
+    batched = (max_robust_radius(NET12, post, x, S01, cfg, scfg),
+               min_unrobust_radius(NET12, post, x, S01, cfg, scfg))
+    reference = sequential_walks(NET12, post, x, S01, cfg, scfg)
+    for got, want in zip(batched, reference):
+        assert fields(got) == fields(want)
+        assert len(got.certificates) == len(got.epsilons)
+    assert not batched[1].vacuous and batched[0].radius < 0.25
+    # One DEBUG line per reported step, none for discarded grid points.
+    logged = [r.getMessage().split(" ")[0] for r in caplog.records]
+    assert logged.count("MaxRR") == len(batched[0].epsilons)
+    assert logged.count("MinUR") == len(batched[1].epsilons)
+
+
+def test_regions_evaluated_stay_near_the_reported_steps(monkeypatch):
+    # Long walks on a 10,000-point grid: MaxRR and MinUR up from 0.05 stop
+    # near 0.25; MinUR down from 9.0 stops there too.
+    post = near_point_posterior([-1.0, 0.0, 0.25, 0.0])
+    regions = []
+    for name in ("psafe_lower", "psafe_upper"):
+        def counted(net, post, T, *args, _real=getattr(search, name), **kw):
+            regions.append(len(T.lower))
+            return _real(net, post, T, *args, **kw)
+        monkeypatch.setattr(search, name, counted)
+    for fn, start_unsafe in ((max_robust_radius, 0.05),
+                             (min_unrobust_radius, 0.05),
+                             (min_unrobust_radius, 9.0)):
+        scfg = RadiusSearchConfig(eps_start_safe=1e-3, step=1e-3,
+                                  eps_start_unsafe=start_unsafe, eps_cap=10.0)
+        regions.clear()
+        res = fn(NET12, post, np.array([0.0]), S01, ccfg(gamma=5.0), scfg)
+        steps = len(res.epsilons)
+        assert 50 < steps < 9000 and not res.vacuous
+        assert sum(regions) <= 2 * (steps + search.FIRST_BLOCK)
+        assert len(regions) <= np.log2(steps) + 2

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bnncert.net import ShapeError
 from bnncert.spec import (InputBox, OutputSpec, argmax_spec, contains,
-                          excludes, linf_ball)
+                          excludes, linf_ball, margins, stack_specs)
 
 
 class TestLinfBall:
@@ -116,6 +116,76 @@ class TestContainsExcludes:
             hits += 1
             ys = rng.uniform(lo, hi, size=(10_000, n))
             assert not np.any(S.satisfied(ys))
+
+
+def integer_specs(rng, M, n_out):
+    """M specs with 1 to 4 rows of small integer coefficients, so that many
+    margins over integer output boxes come out exactly 0.0."""
+    return [OutputSpec(C=rng.integers(-2, 3, (r, n_out)),
+                       d=rng.integers(-2, 3, r))
+            for r in rng.integers(1, 5, M)]
+
+
+@pytest.mark.parametrize("n_out", [2, 5, 9, 13])
+def test_stacked_margins_equal_the_row_formula(n_out):
+    # n_out >= 9 takes numpy's pairwise summation of the products.
+    rng = np.random.default_rng(n_out)
+    M, K = 7, 6
+    specs = integer_specs(rng, M, n_out)
+    C, d = stack_specs(specs, M, n_out)
+    yL = rng.normal(size=(M, K, n_out))
+    yU = yL + rng.uniform(0, 1, (M, K, n_out))
+    low, high = margins(C[:, None], d[:, None], yL, yU)
+    for m, S in enumerate(specs):
+        r = len(S.d)
+        for k in range(K):
+            worst = np.where(S.C >= 0, S.C * yL[m, k], S.C * yU[m, k])
+            best = np.where(S.C >= 0, S.C * yU[m, k], S.C * yL[m, k])
+            assert np.array_equal(low[m, k, :r], worst.sum(axis=1) + S.d)
+            assert np.array_equal(high[m, k, :r], best.sum(axis=1) + S.d)
+            # Padding repeats the last row, so every minimum is the spec's.
+            assert low[m, k].min() == low[m, k, :r].min()
+            assert high[m, k].min() == high[m, k, :r].min()
+
+
+@pytest.mark.parametrize("n_out", [2, 4, 9, 12])
+def test_stacked_flags_equal_per_pair_checks(n_out):
+    rng = np.random.default_rng([n_out, 1])
+    M, K = 9, 8
+    specs = integer_specs(rng, M, n_out)
+    yL = rng.integers(-3, 4, (M, K, n_out)).astype(float)
+    yU = yL + rng.integers(0, 3, (M, K, n_out))
+    C, d = stack_specs(specs, M, n_out)
+    low, high = margins(C[:, None], d[:, None], yL, yU)
+    assert np.any(low == 0.0) and np.any(high == 0.0)
+    assert np.array_equal(low.min(axis=-1) >= 0.0,
+                          [[contains(S, a, b) for a, b in zip(L, U)]
+                           for S, L, U in zip(specs, yL, yU)])
+    assert np.array_equal(high.min(axis=-1) < 0.0,
+                          [[excludes(S, a, b) for a, b in zip(L, U)]
+                           for S, L, U in zip(specs, yL, yU)])
+
+
+def test_zero_margin_is_contained_not_excluded():
+    y = np.array([1.0, 1.0])                  # y0 - y1 == 0 on the point
+    assert contains(S01, y, y) and not excludes(S01, y, y)
+    assert contains(S01, [1, 0], [2, 1])      # lower margin 1 - 1 == 0
+    assert not excludes(S01, [0, 1], [1, 2])  # upper margin 1 - 1 == 0
+
+
+def test_stack_specs_shapes_and_errors():
+    S3 = OutputSpec(C=[[1.0, -1.0, 0.0]], d=[0.5])
+    C, d = stack_specs(S3, 4, 3)
+    assert C.shape == (1, 1, 3) and d.shape == (1, 1)
+    C, d = stack_specs([argmax_spec(0, 3), S3], 2, 3)
+    assert np.array_equal(C[1], [[1.0, -1.0, 0.0]] * 2)
+    assert np.array_equal(d[1], [0.5, 0.5])
+    C, d = stack_specs([], 0, 3)
+    assert C.shape == (0, 1, 3) and d.shape == (0, 1)
+    with pytest.raises(ShapeError, match="specs for"):
+        stack_specs([S3], 2, 3)
+    with pytest.raises(ShapeError, match="outputs"):
+        stack_specs([S3, argmax_spec(0, 2)], 2, 3)
 
 
 def test_input_box_validation():

@@ -40,12 +40,13 @@ def pgd(net: Network, w: np.ndarray, T: InputBox,
     weight vector and region alone returns.
 
     The region centre and seeded random starts descend together as one
-    batch, so each step is one backprop call and the last iterates take one
-    final forward pass. Each region has its own step and every step is
-    projected back into the region, so a point is always a member of it and
-    never worse than its centre. Each restart keeps its first iterate
-    strictly below the centre's margin and below its own earlier iterates;
-    ties between restarts go to the earliest one.
+    batch, so each step is one backprop call, which takes the input
+    gradient only, from weights unpacked once per call; the last iterates
+    take one final forward pass. Each region has its own step and every
+    step is projected back into the region, so a point is always a member
+    of it and never worse than its centre. Each restart keeps its first
+    iterate strictly below the centre's margin and below its own earlier
+    iterates; ties between restarts go to the earliest one.
     """
     w = np.asarray(w, dtype=float)
     ws = np.atleast_2d(w)
@@ -70,17 +71,19 @@ def pgd(net: Network, w: np.ndarray, T: InputBox,
     starts = np.concatenate([0.5 * (lo + hi), lo + (hi - lo) * u], axis=1)
     x = np.broadcast_to(starts, (K, M, R, n_in))
 
-    m, g, _ = backprop(net, ws, flat(x), spec_margin)
+    params = net.unpack(ws)
+    m, g, _ = backprop(net, ws, flat(x), spec_margin, params)
     best_m = np.broadcast_to(m[..., :1], m.shape).copy()
     best_x = np.broadcast_to(starts[:, :1], x.shape).copy()
     for k in range(acfg.iterations):
         x = np.clip(x - step * np.sign(g.reshape(x.shape)), lo, hi)
         if k + 1 < acfg.iterations:
-            m, g, _ = backprop(net, ws, flat(x), spec_margin)
+            m, g, _ = backprop(net, ws, flat(x), spec_margin, params)
         else:
             m = spec_margin(forward(net, ws[:, None, :], flat(x)))[0]
         better = m < best_m
-        best_m[better], best_x[better] = m[better], x[better]
+        np.copyto(best_m, m, where=better)
+        np.copyto(best_x, x, where=better[..., None])
     best = np.argmin(best_m, axis=-1)[..., None, None]
     out = np.take_along_axis(best_x, best, axis=2)[:, :, 0].swapaxes(0, 1)
     if w.ndim == 1:

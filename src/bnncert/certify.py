@@ -159,14 +159,19 @@ def box_set(posterior: Posterior, cfg: CertifyConfig) -> BoxSet:
                   used=len(draws), built_for=_box_key(cfg))
 
 
+def _config(cfg: CertifyConfig) -> dict:
+    """The config a certificate records; build it once per batch and give
+    each certificate its own copy."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)
+            if f.name != "attack"}
+
+
 def _certificate(prop, direction, value, covered, boxes, kept, wall_time,
-                 cfg, extra=None) -> Certificate:
-    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)
-              if f.name != "attack"}
+                 config, extra=None) -> Certificate:
     return Certificate(property=prop, direction=direction, value=value,
                        covered_mass=covered, boxes_used=boxes.used,
                        boxes_kept=kept, wall_time=wall_time,
-                       config=config, extra=extra or {})
+                       config=dict(config), extra=extra or {})
 
 
 # The (region, box) pairs of a batch go through the network in chunks,
@@ -231,9 +236,10 @@ def _psafe(net, posterior, T: InputBox, S, cfg, boxes, check):
              low.min(axis=-1) >= 0.0).astype(float)
     values, covered = boxes.mean_bound(flags, 0.0, 1.0, lower=True)
     wall_time = (time.perf_counter() - t0) / max(len(flags), 1)
+    config = _config(cfg)
     certs = [_certificate("psafe", "upper" if upper else "lower",
                           1.0 - v if upper else v, covered, boxes, int(kept),
-                          wall_time, cfg)
+                          wall_time, config)
              for v, kept in zip(values.tolist(), flags.sum(axis=-1))]
     return certs if T.lower.ndim > 1 else certs[0]
 
@@ -330,8 +336,9 @@ def _dsafe(net, posterior, T, cfg, task, lower: bool, boxes):
         psi = np.minimum(yU[..., c], hi)
     values, covered = boxes.mean_bound(psi, lo, hi, lower)
     wall_time = (time.perf_counter() - t0) / max(len(psi), 1)
+    config = _config(cfg)
     certs = [_certificate("dsafe", "lower" if lower else "upper", v, covered,
-                          boxes, len(boxes.masses), wall_time, cfg,
+                          boxes, len(boxes.masses), wall_time, config,
                           extra={"task": task.kind, "index": c})
              for v in values.tolist()]
     return certs if T.lower.ndim > 1 else certs[0]

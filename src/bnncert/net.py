@@ -146,6 +146,21 @@ def activate_deriv(kind: str, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
+def _trace(net: Network, params, x: np.ndarray):
+    """The layer loop of ``forward_trace`` over per-layer (W, b) arrays."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != net.input_dim:
+        raise ShapeError(f"input has {x.shape[-1]} entries, layer 0 expects {net.input_dim}")
+    zetas, zs = [], [x]
+    z = x
+    for k, (W, b) in enumerate(params):
+        zeta = (W @ z[..., None])[..., 0] + b
+        zetas.append(zeta)
+        z = activate(net.layers[k].activation, zeta) if k < len(net.layers) - 1 else zeta
+        zs.append(z)
+    return zetas, zs
+
+
 def forward_trace(net: Network, w: np.ndarray, x: np.ndarray):
     """Evaluate the network, keeping pre- and post-activations for backprop.
 
@@ -155,17 +170,7 @@ def forward_trace(net: Network, w: np.ndarray, x: np.ndarray):
     matrix-vector product ``W @ z``, so a row's result does not depend on
     the batch it travels in.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != net.input_dim:
-        raise ShapeError(f"input has {x.shape[-1]} entries, layer 0 expects {net.input_dim}")
-    zetas, zs = [], [x]
-    z = x
-    for k, (W, b) in enumerate(net.unpack(w)):
-        zeta = (W @ z[..., None])[..., 0] + b
-        zetas.append(zeta)
-        z = activate(net.layers[k].activation, zeta) if k < len(net.layers) - 1 else zeta
-        zs.append(z)
-    return zetas, zs
+    return _trace(net, net.unpack(w), x)
 
 
 def forward(net: Network, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -176,7 +181,7 @@ def forward(net: Network, w: np.ndarray, x: np.ndarray) -> np.ndarray:
 forward_batch = forward
 
 
-def backprop(net: Network, w: np.ndarray, x: np.ndarray, loss):
+def backprop(net: Network, w: np.ndarray, x: np.ndarray, loss, params=None):
     """A loss of the logits and its gradients, from one forward pass.
 
     ``loss(logits) -> (value, dvalue/dlogits)``. ``x`` is one input (n_in,)
@@ -185,23 +190,33 @@ def backprop(net: Network, w: np.ndarray, x: np.ndarray, loss):
     Returns (value, grad_x, grad_w): grad_x is shaped like x, and grad_w is
     shaped like w, each weight vector summing the contributions of its
     batch rows.
+
+    ``params``, the list ``net.unpack(w)`` returns, asks for the input
+    gradient only: the pass reuses those matrices, skips the weight
+    gradient and returns None for grad_w, with value and grad_x unchanged
+    to the bit. A PGD step takes this path, unpacking once per attack.
     """
     w = np.asarray(w, dtype=float)
     lead = w.shape[:-1]
-    zetas, zs = forward_trace(net, w[..., None, :] if lead else w, x)
+    grads = None
+    if params is None:
+        params = net.unpack(w)
+        grads = [None] * len(net.layers)
+    # Stacked weights meet their (K, B, .) batch through a new batch axis.
+    zetas, zs = _trace(net, [(W[..., None, :, :], b[..., None, :])
+                             for W, b in params] if lead else params, x)
     value, delta = loss(zs[-1])
-    params = net.unpack(w)
-    grads = [None] * len(net.layers)
     for k in range(len(net.layers) - 1, -1, -1):
-        # Stacked weights are already (K, B, .); a single weight vector
-        # sums over every batch row, whatever the shape of x.
-        rows = delta if lead else delta.reshape(-1, delta.shape[-1])
-        z = zs[k] if lead else zs[k].reshape(-1, zs[k].shape[-1])
-        grads[k] = (rows.swapaxes(-1, -2) @ z, rows.sum(axis=-2))
+        if grads is not None:
+            # Stacked weights are already (K, B, .); a single weight vector
+            # sums over every batch row, whatever the shape of x.
+            rows = delta if lead else delta.reshape(-1, delta.shape[-1])
+            z = zs[k] if lead else zs[k].reshape(-1, zs[k].shape[-1])
+            grads[k] = (rows.swapaxes(-1, -2) @ z, rows.sum(axis=-2))
         delta = delta @ params[k][0]
         if k > 0:
             delta = delta * activate_deriv(net.layers[k - 1].activation, zetas[k - 1])
-    return value, delta, net.pack(grads)
+    return value, delta, None if grads is None else net.pack(grads)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

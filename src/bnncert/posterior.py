@@ -119,7 +119,11 @@ def sample(posterior: Posterior, rng_seed) -> np.ndarray:
     rng = np.random.default_rng(rng_seed)
     if isinstance(posterior, GaussianPosterior):
         return posterior.mean + posterior.std * rng.standard_normal(posterior.n_weights)
-    idx = rng.choice(posterior.samples.shape[0], p=posterior.weights)
+    # The inverse-CDF draw rng.choice(n, p=weights) makes, without its
+    # checks of p, which the posterior already validated.
+    cdf = posterior.weights.cumsum()
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(rng.random(), side="right")
     return posterior.samples[idx].copy()
 
 

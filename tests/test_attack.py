@@ -94,3 +94,22 @@ class TestPgd:
         acfg = AttackConfig(iterations=7, restarts=restarts)
         pgd(net, w, T, argmax_spec(0, 3), acfg)
         assert calls == ["backprop"] * acfg.iterations + ["forward"]
+
+    def test_weights_unpacked_once_per_attack(self, monkeypatch, rng):
+        """Unpacking the weights costs the same at 3 and at 7 steps."""
+        unpack = Network.unpack
+        counts = []
+
+        def counted(self, w):
+            counts[-1] += 1
+            return unpack(self, w)
+
+        monkeypatch.setattr(Network, "unpack", counted)
+        net = random_net(rng, max_width=8, n_out=3)
+        ws = rng.normal(size=(2, net.n_weights))
+        T = InputBox(lower=np.full(net.input_dim, -0.5),
+                     upper=np.full(net.input_dim, 0.5))
+        for iterations in (3, 7):
+            counts.append(0)
+            pgd(net, ws, T, argmax_spec(0, 3), AttackConfig(iterations=iterations))
+        assert counts[0] == counts[1]

@@ -323,6 +323,17 @@ class TestProperties:
         assert cert.config["margin_scale"] == "std"
         assert cert.wall_time >= 0.0
 
+    def test_each_certificate_owns_its_config(self):
+        post = atom_posterior(W_SAFE, W_UNSAFE)
+        T = InputBox(lower=np.array([[-1.0], [0.0], [0.5]]),
+                     upper=np.array([[1.0], [0.5], [1.0]]))
+        c = cfg(num_samples=4)
+        for certs in (psafe_lower(NET12, post, T, S01, c),
+                      psafe_upper(NET12, post, T, S01, c),
+                      dsafe_lower(NET12, post, T, c, Task.classification(0))):
+            certs[0].config["method"] = "lbp"
+            assert [cert.config["method"] for cert in certs[1:]] == ["ibp"] * 2
+
     def test_bonferroni_mode_still_sound(self, rng):
         net = random_net(rng, n_layers=1, max_width=6, n_out=2)
         post = GaussianPosterior(mean=rng.normal(0, 0.4, net.n_weights),

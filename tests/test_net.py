@@ -167,3 +167,19 @@ def test_backprop_batch_matches_rows():
     for i, (_, gx_i, _) in enumerate(rows):
         assert np.allclose(gx[i], gx_i, rtol=0, atol=1e-12)
     assert np.allclose(gw, sum(gw_i for _, _, gw_i in rows), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_input_gradient_path_equals_full_backprop(activation, stacked):
+    """With the unpacked weights passed in, backprop returns full backprop's
+    value and grad_x to the bit, and no weight gradient."""
+    rng = np.random.default_rng(13)
+    net = Network.dense([4, 9, 7, 3], activation=activation)
+    w = rng.normal(size=(5, net.n_weights) if stacked else net.n_weights)
+    x = rng.normal(size=(5, 6, 4) if stacked else (6, 4))
+    loss = lambda y: (np.min(y, axis=-1), np.cos(y))
+    value, gx, gw = backprop(net, w, x, loss)
+    value_p, gx_p, gw_p = backprop(net, w, x, loss, net.unpack(w))
+    assert gw.shape == w.shape and gw_p is None
+    assert np.array_equal(value_p, value) and np.array_equal(gx_p, gx)

@@ -40,6 +40,23 @@ class TestSample:
     def test_seeded_determinism(self):
         assert np.array_equal(sample(STD_NORMAL, (7, 3)), sample(STD_NORMAL, (7, 3)))
 
+    @pytest.mark.parametrize("weights", [
+        None,
+        [0.1, 0.2, 0.3, 0.4],
+        [0.5, 0.0, 0.25, 0.0, 0.25],
+        [0.0, 0.3, 0.7],
+    ])
+    def test_atom_draw_equals_generator_choice(self, weights):
+        """An atom draw picks the index rng.choice(n, p=weights) picks from
+        a generator seeded alike, and never an atom of zero weight."""
+        n = 4 if weights is None else len(weights)
+        post = SamplePosterior(samples=np.arange(n, dtype=float)[:, None],
+                               weights=weights)
+        for seed in [*range(2000), *((s, i) for s in range(3) for i in range(200))]:
+            idx = int(sample(post, seed)[0])
+            assert idx == np.random.default_rng(seed).choice(n, p=post.weights)
+            assert post.weights[idx] > 0.0
+
 
 class TestMakeBox:
     def test_zero_gamma(self):

@@ -6,12 +6,32 @@ checks and as the empirical probe in the Monte-Carlo sandwich validation.
 
 from __future__ import annotations
 
+import logging
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Network, backprop, forward
+from . import net as net_mod
+from .net import Network, backprop
 from .spec import InputBox, OutputSpec, stack_specs
+
+log = logging.getLogger("bnncert.attack")
+# PGD takes only backprop steps; perfbench/spans.py still traces
+# ``forward`` by this name.
+forward = net_mod.forward
+
+
+def check_count(config, name: str, least: int):
+    """Reject a config field that is not an integer (Python or numpy) of
+    at least ``least``, so a bad value fails at construction."""
+    value = getattr(config, name)
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass
@@ -21,8 +41,8 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1 or self.restarts < 1:
-            raise ValueError("iterations and restarts must be >= 1")
+        for name, least in (("iterations", 1), ("restarts", 1), ("seed", 0)):
+            check_count(self, name, least)
 
 
 def pgd(net: Network, w: np.ndarray, T: InputBox,
@@ -40,52 +60,78 @@ def pgd(net: Network, w: np.ndarray, T: InputBox,
     weight vector and region alone returns.
 
     The region centre and seeded random starts descend together as one
-    batch, so each step is one backprop call, which takes the input
-    gradient only, from weights unpacked once per call; the last iterates
-    take one final forward pass. Each region has its own step and every
-    step is projected back into the region, so a point is always a member
-    of it and never worse than its centre. Each restart keeps its first
-    iterate strictly below the centre's margin and below its own earlier
-    iterates; ties between restarts go to the earliest one.
+    batch of (region, restart) rows, so each step is one backprop call,
+    which takes the input gradient only, from weights unpacked once per
+    call. Each region has its own step and every step is projected back
+    into the region, so a point is always a member of it and never worse
+    than its centre. Each restart keeps its first iterate strictly below
+    the centre's margin and below its own earlier iterates; ties between
+    restarts go to the earliest one.
+
+    A step is a function of the current iterate alone. So once a row's new
+    iterate equals its current one (a fixed point) or the one before (a
+    2-cycle) under every weight vector, its later iterates only repeat
+    points whose margins the strict test has seen, and its best point can
+    no longer change: the row retires, and leaves the batch, with the
+    point the full ``iterations`` steps would return. A lone row keeps a
+    retired one beside it, so the backward pass keeps the matrix product,
+    and the bits, of the batch it started in.
     """
     w = np.asarray(w, dtype=float)
     ws = np.atleast_2d(w)
-    lo, hi = np.atleast_2d(T.lower)[:, None], np.atleast_2d(T.upper)[:, None]
-    K, (M, _, n_in), R = len(ws), lo.shape, acfg.restarts
+    lo, hi = np.atleast_2d(T.lower), np.atleast_2d(T.upper)
+    K, (M, n_in), R = len(ws), lo.shape, acfg.restarts
     C, d = stack_specs(S, M, net.output_dim)
-    rows = np.arange(len(C))[:, None]
-
-    def spec_margin(y):
-        y = y.reshape(K, M, R, C.shape[-1])
-        m = (C[:, None] @ y[..., None])[..., 0] + d[:, None]
-        grad = C[rows, np.argmin(m, axis=-1)]
-        return m.min(axis=-1), grad.reshape(K, M * R, C.shape[-1])
-
-    def flat(x):
-        return x.reshape(K, M * R, n_in)
-
-    step = 2.5 * np.max(hi - lo, axis=-1, keepdims=True) / acfg.iterations
+    # Row i is restart i % R of region i // R; it carries its region's
+    # box, step and spec, and ``origin`` says where its result goes.
+    region = np.repeat(np.arange(M), R)
+    spec = region if len(C) > 1 else np.zeros_like(region)
+    C, d = C[spec], d[spec]
+    step = (2.5 * np.max(hi - lo, axis=-1, keepdims=True)
+            / acfg.iterations)[region]
     # Every region draws the random starts a fresh generator gives it:
     # lo + (hi - lo) * u is the value rng.uniform(lo, hi) returns.
     u = np.random.default_rng(acfg.seed).random((R - 1, n_in))
-    starts = np.concatenate([0.5 * (lo + hi), lo + (hi - lo) * u], axis=1)
-    x = np.broadcast_to(starts, (K, M, R, n_in))
+    starts = np.concatenate([0.5 * (lo + hi)[:, None],
+                             lo[:, None] + (hi - lo)[:, None] * u], axis=1)
+    lo, hi = lo[region], hi[region]
+    x = prev = np.broadcast_to(starts.reshape(M * R, n_in), (K, M * R, n_in))
+
+    def spec_margin(y):
+        m = (C @ y[..., None])[..., 0] + d
+        rows = np.arange(len(C))
+        return m.min(axis=-1), C[rows, np.argmin(m, axis=-1)]
 
     params = net.unpack(ws)
-    m, g, _ = backprop(net, ws, flat(x), spec_margin, params)
-    best_m = np.broadcast_to(m[..., :1], m.shape).copy()
-    best_x = np.broadcast_to(starts[:, :1], x.shape).copy()
-    for k in range(acfg.iterations):
-        x = np.clip(x - step * np.sign(g.reshape(x.shape)), lo, hi)
-        if k + 1 < acfg.iterations:
-            m, g, _ = backprop(net, ws, flat(x), spec_margin, params)
-        else:
-            m = spec_margin(forward(net, ws[:, None, :], flat(x)))[0]
+    m, g, _ = backprop(net, ws, x, spec_margin, params)
+    best_m, best_x = m[:, region * R], x[:, region * R]
+    out_m, out_x = np.empty_like(best_m), np.empty_like(best_x)
+    origin, steps = np.arange(M * R), 0
+    while len(origin) and steps < acfg.iterations:
+        new = np.clip(x - step * np.sign(g), lo, hi)
+        m, g, _ = backprop(net, ws, new, spec_margin, params)
+        steps += 1
         better = m < best_m
         np.copyto(best_m, m, where=better)
-        np.copyto(best_x, x, where=better[..., None])
-    best = np.argmin(best_m, axis=-1)[..., None, None]
-    out = np.take_along_axis(best_x, best, axis=2)[:, :, 0].swapaxes(0, 1)
+        np.copyto(best_x, new, where=better[..., None])
+        keep = ~((new == x).all(axis=-1)
+                 | (new == prev).all(axis=-1)).all(axis=0)
+        x, prev = new, x
+        if keep.sum() == 1:             # keep a retired row as a partner
+            keep[np.argmin(keep)] = True
+        if steps < acfg.iterations and not keep.all():
+            gone = origin[~keep]
+            out_m[:, gone], out_x[:, gone] = best_m[:, ~keep], best_x[:, ~keep]
+            x, prev, g, best_m, best_x = (a[:, keep] for a in
+                                          (x, prev, g, best_m, best_x))
+            lo, hi, step, C, d, origin = (a[keep] for a in
+                                          (lo, hi, step, C, d, origin))
+    out_m[:, origin], out_x[:, origin] = best_m, best_x
+    log.debug("pgd: %d of %d steps, %d rows x %d weights, %d rows retired "
+              "early", steps, acfg.iterations, M * R, K, M * R - len(origin))
+    best = np.argmin(out_m.reshape(K, M, R), axis=-1)[..., None, None]
+    out = np.take_along_axis(out_x.reshape(K, M, R, n_in), best,
+                             axis=2)[:, :, 0].swapaxes(0, 1)
     if w.ndim == 1:
         out = out[:, 0]
     return out if T.lower.ndim > 1 else out[0]

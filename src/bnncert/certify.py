@@ -11,6 +11,7 @@ box, and reduce those values to a bound.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -23,6 +24,8 @@ from .posterior import (Posterior, WeightBox, box_mass, disjointify,
 from .propagate import propagate
 from .spec import (InputBox, OutputSpec, contains, excludes, margins,
                    stack_specs)
+
+log = logging.getLogger("bnncert.certify")
 
 
 @dataclass
@@ -42,8 +45,8 @@ class CertifyConfig:
     attack: attack_mod.AttackConfig | None = None
 
     def __post_init__(self):
-        if self.num_samples < 0:
-            raise ValueError("num_samples must be >= 0")
+        attack_mod.check_count(self, "num_samples", 0)
+        attack_mod.check_count(self, "rng_seed", 0)
         if self.method not in ("ibp", "lbp"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.bonferroni is not None and (self.bonferroni < 2
@@ -166,6 +169,15 @@ def _config(cfg: CertifyConfig) -> dict:
             if f.name != "attack"}
 
 
+def _batch_time(prop, direction, t0, n, boxes) -> float:
+    """Log a batch of n certificates and return each one's share of its
+    wall time."""
+    seconds = time.perf_counter() - t0
+    log.debug("%s_%s: %d regions, %d of %d boxes kept, %.6f s", prop,
+              direction, n, len(boxes.masses), boxes.used, seconds)
+    return seconds / max(n, 1)
+
+
 def _certificate(prop, direction, value, covered, boxes, kept, wall_time,
                  config, extra=None) -> Certificate:
     return Certificate(property=prop, direction=direction, value=value,
@@ -229,17 +241,17 @@ def _psafe(net, posterior, T: InputBox, S, cfg, boxes, check):
     ``margins`` call gives the flags of every pair."""
     t0 = time.perf_counter()
     upper = check is excludes
+    direction = "upper" if upper else "lower"
     boxes, (C, d), yL, yU = _over_regions(net, posterior, T, S, cfg, boxes,
                                           attack=upper)
     low, high = margins(C[:, None], d[:, None], yL, yU)
     flags = (high.min(axis=-1) < 0.0 if upper else
              low.min(axis=-1) >= 0.0).astype(float)
     values, covered = boxes.mean_bound(flags, 0.0, 1.0, lower=True)
-    wall_time = (time.perf_counter() - t0) / max(len(flags), 1)
+    wall_time = _batch_time("psafe", direction, t0, len(flags), boxes)
     config = _config(cfg)
-    certs = [_certificate("psafe", "upper" if upper else "lower",
-                          1.0 - v if upper else v, covered, boxes, int(kept),
-                          wall_time, config)
+    certs = [_certificate("psafe", direction, 1.0 - v if upper else v,
+                          covered, boxes, int(kept), wall_time, config)
              for v, kept in zip(values.tolist(), flags.sum(axis=-1))]
     return certs if T.lower.ndim > 1 else certs[0]
 
@@ -335,10 +347,11 @@ def _dsafe(net, posterior, T, cfg, task, lower: bool, boxes):
     else:
         psi = np.minimum(yU[..., c], hi)
     values, covered = boxes.mean_bound(psi, lo, hi, lower)
-    wall_time = (time.perf_counter() - t0) / max(len(psi), 1)
+    direction = "lower" if lower else "upper"
+    wall_time = _batch_time("dsafe", direction, t0, len(psi), boxes)
     config = _config(cfg)
-    certs = [_certificate("dsafe", "lower" if lower else "upper", v, covered,
-                          boxes, len(boxes.masses), wall_time, config,
+    certs = [_certificate("dsafe", direction, v, covered, boxes,
+                          len(boxes.masses), wall_time, config,
                           extra={"task": task.kind, "index": c})
              for v in values.tolist()]
     return certs if T.lower.ndim > 1 else certs[0]

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,6 +345,37 @@ class TestProperties:
         lo = psafe_lower(net, post, T, S01, c)
         up = psafe_upper(net, post, T, S01, c)
         assert 0.0 <= lo.value <= up.value + 1e-12
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_samples", 2.5), ("num_samples", -1), ("rng_seed", -1),
+        ("rng_seed", 1.5)])
+    def test_counts_must_be_non_negative_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            cfg(**{field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        post = atom_posterior(W_SAFE)
+        want = psafe_lower(NET12, post, T_UNIT, S01, cfg(num_samples=3))
+        got = psafe_lower(NET12, post, T_UNIT, S01,
+                          cfg(num_samples=np.int64(3), rng_seed=np.int32(0)))
+        assert (got.value, got.boxes_used) == (want.value, want.boxes_used)
+
+    def test_debug_line_per_certificate_batch(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="bnncert.certify")
+        post = atom_posterior(W_SAFE, W_UNSAFE)
+        T = InputBox(lower=np.array([[-1.0], [0.0], [0.5]]),
+                     upper=np.array([[1.0], [0.5], [1.0]]))
+        c = cfg(num_samples=4)
+        psafe_lower(NET12, post, T, S01, c)
+        psafe_upper(NET12, post, T_UNIT, S01, c)
+        dsafe_lower(NET12, post, T, c, Task.classification(0))
+        lines = [r for r in caplog.records if r.name == "bnncert.certify"]
+        assert [r.args[:5] for r in lines] == [
+            ("psafe", "lower", 3, 2, 4), ("psafe", "upper", 1, 2, 4),
+            ("dsafe", "lower", 3, 2, 4)]
+        assert all(r.args[5] >= 0.0 for r in lines)
+        assert lines[0].getMessage().startswith(
+            "psafe_lower: 3 regions, 2 of 4 boxes kept, ")
 
     @pytest.mark.parametrize("depth", [0, 1, 3])
     def test_bonferroni_depth_must_be_even(self, depth):

@@ -73,9 +73,12 @@ def pgd(net: Network, w: np.ndarray, T: InputBox,
     2-cycle) under every weight vector, its later iterates only repeat
     points whose margins the strict test has seen, and its best point can
     no longer change: the row retires, and leaves the batch, with the
-    point the full ``iterations`` steps would return. A lone row keeps a
-    retired one beside it, so the backward pass keeps the matrix product,
-    and the bits, of the batch it started in.
+    point the full ``iterations`` steps would return.
+
+    Every backward pass sees at least two rows, so it is a matrix product
+    and never a matrix-vector product, whose last bits can differ: a call
+    with one row runs it beside a copy of itself, and a lone row left by
+    retirement keeps a retired one beside it.
     """
     w = np.asarray(w, dtype=float)
     ws = np.atleast_2d(w)
@@ -83,8 +86,10 @@ def pgd(net: Network, w: np.ndarray, T: InputBox,
     K, (M, n_in), R = len(ws), lo.shape, acfg.restarts
     C, d = stack_specs(S, M, net.output_dim)
     # Row i is restart i % R of region i // R; it carries its region's
-    # box, step and spec, and ``origin`` says where its result goes.
-    region = np.repeat(np.arange(M), R)
+    # box, step and spec, and ``origin`` says where its result goes. A lone
+    # row travels with a copy of itself, dropped at the end.
+    ids = np.arange(M * R) if M * R != 1 else np.zeros(2, dtype=int)
+    region = ids // R
     spec = region if len(C) > 1 else np.zeros_like(region)
     C, d = C[spec], d[spec]
     step = (2.5 * np.max(hi - lo, axis=-1, keepdims=True)
@@ -95,7 +100,8 @@ def pgd(net: Network, w: np.ndarray, T: InputBox,
     starts = np.concatenate([0.5 * (lo + hi)[:, None],
                              lo[:, None] + (hi - lo)[:, None] * u], axis=1)
     lo, hi = lo[region], hi[region]
-    x = prev = np.broadcast_to(starts.reshape(M * R, n_in), (K, M * R, n_in))
+    x = prev = np.broadcast_to(starts.reshape(M * R, n_in)[ids],
+                               (K, len(ids), n_in))
 
     def spec_margin(y):
         m = (C @ y[..., None])[..., 0] + d
@@ -106,7 +112,7 @@ def pgd(net: Network, w: np.ndarray, T: InputBox,
     m, g, _ = backprop(net, ws, x, spec_margin, params)
     best_m, best_x = m[:, region * R], x[:, region * R]
     out_m, out_x = np.empty_like(best_m), np.empty_like(best_x)
-    origin, steps = np.arange(M * R), 0
+    origin, steps = np.arange(len(ids)), 0
     while len(origin) and steps < acfg.iterations:
         new = np.clip(x - step * np.sign(g), lo, hi)
         m, g, _ = backprop(net, ws, new, spec_margin, params)
@@ -128,7 +134,9 @@ def pgd(net: Network, w: np.ndarray, T: InputBox,
                                           (lo, hi, step, C, d, origin))
     out_m[:, origin], out_x[:, origin] = best_m, best_x
     log.debug("pgd: %d of %d steps, %d rows x %d weights, %d rows retired "
-              "early", steps, acfg.iterations, M * R, K, M * R - len(origin))
+              "early", steps, acfg.iterations, M * R, K,
+              M * R - np.count_nonzero(origin < M * R))
+    out_m, out_x = out_m[:, :M * R], out_x[:, :M * R]
     best = np.argmin(out_m.reshape(K, M, R), axis=-1)[..., None, None]
     out = np.take_along_axis(out_x.reshape(K, M, R, n_in), best,
                              axis=2)[:, :, 0].swapaxes(0, 1)

@@ -211,7 +211,10 @@ def _over_regions(net, posterior, T: InputBox, S, cfg, boxes,
     M, K = len(lo), len(boxes.masses)
     specs = None if S is None else stack_specs(S, M, net.output_dim)
     # IBP's corner products per layer, or LBP's bounding functions of layer
-    # l, rows_l x (n_in + rows_0 + ... + rows_l) coefficients.
+    # l, counted as rows_l x (n_in + rows_0 + ... + rows_l) coefficients.
+    # Layer l's own block is a diagonal of rows_l entries, so this
+    # over-counts by rows_l**2 - rows_l; the count is kept, so the chunks,
+    # and with them every value, stay as they were.
     pairs = max(1, _CHUNK_ENTRIES // max(
         l.rows * (l.cols if cfg.method == "ibp" else
                   net.input_dim + sum(m.rows for m in net.layers[:i + 1]))

@@ -147,7 +147,8 @@ def activate_deriv(kind: str, x: np.ndarray) -> np.ndarray:
 
 
 def _trace(net: Network, params, x: np.ndarray):
-    """The layer loop of ``forward_trace`` over per-layer (W, b) arrays."""
+    """The one layer loop, over per-layer (W, b) arrays: pre- and
+    post-activations of every layer, for ``forward`` and ``backprop``."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != net.input_dim:
         raise ShapeError(f"input has {x.shape[-1]} entries, layer 0 expects {net.input_dim}")
@@ -161,8 +162,8 @@ def _trace(net: Network, params, x: np.ndarray):
     return zetas, zs
 
 
-def forward_trace(net: Network, w: np.ndarray, x: np.ndarray):
-    """Evaluate the network, keeping pre- and post-activations for backprop.
+def forward(net: Network, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Final logits of the network.
 
     Leading axes of ``w`` (..., n_w) and ``x`` (..., n_in) broadcast against
     each other: one weight on a batch of inputs, weight i on input i, or
@@ -170,12 +171,7 @@ def forward_trace(net: Network, w: np.ndarray, x: np.ndarray):
     matrix-vector product ``W @ z``, so a row's result does not depend on
     the batch it travels in.
     """
-    return _trace(net, net.unpack(w), x)
-
-
-def forward(net: Network, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Final logits of ``forward_trace``, with the same broadcasting."""
-    return forward_trace(net, w, x)[1][-1]
+    return _trace(net, net.unpack(w), x)[1][-1]
 
 
 forward_batch = forward

@@ -174,15 +174,20 @@ def relax_activation(kind: str, zl, zu):
 # layer before otherwise), and every later step only mixes rows. So the
 # coefficient of W^(l)[r, c] in an LBF row i is always C_l[i, r] * zref_l[c]:
 # an LBF stores C_l, and the weight box enters through zref_l . W_r alone.
+# The newest layer's C_l is diagonal until the next layer mixes its rows, so
+# it is kept as that diagonal; a product with a diagonal matrix adds one
+# product to exact zeros, so the elementwise form rounds to the same bits.
 
 
 @dataclass
 class LinearBoundingFunction:
     """A bound of the form mu . x + sum_l sum_r coef[l][..., r] * (zref_l . W^(l)_r)
-    + lam, one row per neuron of the current layer."""
+    + lam, one row per neuron of the current layer; the current layer's own
+    term, row i times zref . W_i, is diag[..., i], the diagonal of its C_l."""
 
     mu: np.ndarray              # (..., m, n_in)
-    coef: list[np.ndarray]      # coef[l]: (..., m, rows_l)
+    coef: list[np.ndarray]      # coef[l]: (..., m, rows_l), layers before the current one
+    diag: np.ndarray | None     # (..., m); None for the input, which has no weights
     lam: np.ndarray             # (..., m)
 
 
@@ -201,7 +206,7 @@ def _ref_range(WL, WU, zref):
 
 def _lbf_extreme(f: LinearBoundingFunction, T: InputBox, ranges, minimize: bool):
     """Analytic optimum of each LBF row over the input and weight boxes;
-    ranges[l] is layer l's ``_ref_range``."""
+    ranges[l] is layer l's ``_ref_range``, the last one the current layer's."""
     lo_x, hi_x = (T.lower, T.upper) if minimize else (T.upper, T.lower)
     lo_x, hi_x = lo_x[..., None, :], hi_x[..., None, :]
     total = f.lam + np.where(f.mu >= 0, f.mu * lo_x, f.mu * hi_x).sum(axis=-1)
@@ -209,7 +214,8 @@ def _lbf_extreme(f: LinearBoundingFunction, T: InputBox, ranges, minimize: bool)
         lo, hi = (lo, hi) if minimize else (hi, lo)
         total = (total + _matvec(np.maximum(C, 0.0), lo)
                  + _matvec(np.minimum(C, 0.0), hi))
-    return total
+    lo, hi = ranges[-1] if minimize else ranges[-1][::-1]
+    return total + np.maximum(f.diag, 0.0) * lo + np.minimum(f.diag, 0.0) * hi
 
 
 def _scale_rows(fL: LinearBoundingFunction, fU: LinearBoundingFunction,
@@ -220,17 +226,22 @@ def _scale_rows(fL: LinearBoundingFunction, fU: LinearBoundingFunction,
     a, sel = alpha[..., None], pick_L[..., None]
     mu = np.where(sel, a * fL.mu, a * fU.mu)
     coef = [np.where(sel, a * CL, a * CU) for CL, CU in zip(fL.coef, fU.coef)]
+    diag = np.where(pick_L, alpha * fL.diag, alpha * fU.diag)
     lam = np.where(pick_L, alpha * fL.lam, alpha * fU.lam) + beta
-    return LinearBoundingFunction(mu=mu, coef=coef, lam=lam)
+    return LinearBoundingFunction(mu=mu, coef=coef, diag=diag, lam=lam)
 
 
 def _combine(A_pos, A_neg, fL: LinearBoundingFunction, fU: LinearBoundingFunction):
     """Row-mix LBFs: row i gets sum_j A_ij * (lower LBF of z_j if A_ij >= 0
-    else upper LBF), expressed with the positive/negative parts of A."""
+    else upper LBF), expressed with the positive/negative parts of A. The
+    diagonal of the layer before becomes its dense block, A scaled by
+    columns."""
     mu = A_pos @ fL.mu + A_neg @ fU.mu
     coef = [A_pos @ CL + A_neg @ CU for CL, CU in zip(fL.coef, fU.coef)]
+    if fL.diag is not None:
+        coef.append(A_pos * fL.diag[..., None, :] + A_neg * fU.diag[..., None, :])
     lam = _matvec(A_pos, fL.lam) + _matvec(A_neg, fU.lam)
-    return LinearBoundingFunction(mu=mu, coef=coef, lam=lam)
+    return LinearBoundingFunction(mu=mu, coef=coef, diag=None, lam=lam)
 
 
 def _bilinear_lbf(A, b_end, zref, zL_f, zU_f, lower_side: bool):
@@ -239,11 +250,11 @@ def _bilinear_lbf(A, b_end, zref, zL_f, zU_f, lower_side: bool):
     A is the relevant corner of the weight box (WL for the lower bound, WU
     for the upper; both McCormick forms anchor on the z lower reference
     vector zref). The term W . zref is linear in this layer's own weights:
-    its coefficient matrix starts as the identity.
+    its coefficient starts as the identity, kept as a diagonal of ones.
     """
     pos_f, neg_f = (zL_f, zU_f) if lower_side else (zU_f, zL_f)
     f = _combine(np.maximum(A, 0.0), np.minimum(A, 0.0), pos_f, neg_f)
-    f.coef.append(np.eye(A.shape[-2]))
+    f.diag = np.ones(A.shape[-2])
     f.lam = f.lam - _matvec(A, zref) + b_end
     return f
 
@@ -260,7 +271,7 @@ def lbp_forward(net: Network, T: InputBox, R: WeightBox):
     """
     ibp_pre = ibp_layer_intervals(net, T, R)
     fL = fU = LinearBoundingFunction(mu=np.eye(net.input_dim), coef=[],
-                                     lam=np.zeros(net.input_dim))
+                                     diag=None, lam=np.zeros(net.input_dim))
     z_lo, ranges = T.lower, []
     for k, (WL, WU, bL, bU) in enumerate(_unpack_box(net, R)):
         ranges.append(_ref_range(WL, WU, z_lo))

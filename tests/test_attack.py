@@ -259,6 +259,26 @@ class TestRetirement:
         assert rows == [2, 2, 2]
         assert np.array_equal(got, [[0.2], [-1.0]])
 
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    def test_one_row_runs_beside_a_copy(self, monkeypatch, act):
+        # One region and one restart: a batch of one would take the backward
+        # pass through a matrix-vector product, whose bits can differ from
+        # the matrix product the same row gets in any larger batch.
+        rng = np.random.default_rng(5)
+        net = random_net(rng, max_width=10, n_out=3, activation=act)
+        n_in, n_w = net.input_dim, net.n_weights
+        c = rng.uniform(-0.5, 0.5, (4, n_in))
+        stack = InputBox(lower=c - 0.3, upper=c + 0.3)
+        specs = [argmax_spec(int(k), 3) for k in rng.integers(3, size=4)]
+        acfg = AttackConfig(iterations=25, restarts=1)
+        rows = counted_backprop(monkeypatch)
+        for w in (rng.normal(size=n_w), rng.normal(size=(3, n_w))):
+            batch = pgd(net, w, stack, specs, acfg)
+            for k in range(len(c)):
+                one = InputBox(lower=stack.lower[k], upper=stack.upper[k])
+                assert np.array_equal(pgd(net, w, one, specs[k], acfg), batch[k])
+        assert min(rows) >= 2
+
     def test_empty_stacks_keep_their_shapes(self, rng):
         net = random_net(rng, max_width=6, n_out=3)
         n_in, n_w = net.input_dim, net.n_weights

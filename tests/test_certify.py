@@ -236,7 +236,7 @@ class TestDecisionRules:
             uncertainty_check(NET12, post, T_UNIT, 1.5, cfg(num_samples=1))
 
     @pytest.mark.xfail(reason=(
-        "ROADMAP item 7: output_worst/output_best and BoxSet.mean_bound round "
+        "ROADMAP item 8: output_worst/output_best and BoxSet.mean_bound round "
         "to nearest, so both uppers read 0.49999999999999994 below the mean 0.5"))
     def test_uppers_reach_mean_in_floating_point(self):
         # atom A: logits (0, 20); atom B: logits (20, 0); seed 0 draws both

@@ -141,6 +141,82 @@ PINNED = [
 ]
 
 
+def dense_identity_lbp(net, T, R):
+    """LBP as it was while each layer's own weight coefficient was a dense
+    np.eye(rows) that the next layer multiplied as a full matrix, frozen as
+    the bit-for-bit reference. An LBF is a tuple (mu, coef, lam)."""
+    def matvec(A, x):
+        return (A @ x[..., None])[..., 0]
+
+    def extreme(f, ranges, minimize):
+        mu, coef, lam = f
+        lo_x, hi_x = (T.lower, T.upper) if minimize else (T.upper, T.lower)
+        lo_x, hi_x = lo_x[..., None, :], hi_x[..., None, :]
+        total = lam + np.where(mu >= 0, mu * lo_x, mu * hi_x).sum(axis=-1)
+        for C, (lo, hi) in zip(coef, ranges):
+            lo, hi = (lo, hi) if minimize else (hi, lo)
+            total = (total + matvec(np.maximum(C, 0.0), lo)
+                     + matvec(np.minimum(C, 0.0), hi))
+        return total
+
+    def scale(fL, fU, alpha, beta, lower_side):
+        pick_L = (alpha >= 0) if lower_side else (alpha < 0)
+        a, sel = alpha[..., None], pick_L[..., None]
+        return (np.where(sel, a * fL[0], a * fU[0]),
+                [np.where(sel, a * CL, a * CU) for CL, CU in zip(fL[1], fU[1])],
+                np.where(pick_L, alpha * fL[2], alpha * fU[2]) + beta)
+
+    def bilinear(A, b_end, zref, fL, fU, lower_side):
+        (pos_mu, pos_c, pos_lam), (neg_mu, neg_c, neg_lam) = (
+            (fL, fU) if lower_side else (fU, fL))
+        A_pos, A_neg = np.maximum(A, 0.0), np.minimum(A, 0.0)
+        coef = [A_pos @ CL + A_neg @ CU for CL, CU in zip(pos_c, neg_c)]
+        coef.append(np.eye(A.shape[-2]))
+        lam = matvec(A_pos, pos_lam) + matvec(A_neg, neg_lam)
+        return (A_pos @ pos_mu + A_neg @ neg_mu, coef,
+                lam - matvec(A, zref) + b_end)
+
+    ibp_pre = propagate_mod.ibp_layer_intervals(net, T, R)
+    fL = fU = (np.eye(net.input_dim), [], np.zeros(net.input_dim))
+    z_lo, ranges = T.lower, []
+    for k, (WL, WU, bL, bU) in enumerate(propagate_mod._unpack_box(net, R)):
+        zref = z_lo[..., None, :]
+        pos = zref >= 0
+        ranges.append((np.where(pos, zref * WL, zref * WU).sum(axis=-1),
+                       np.where(pos, zref * WU, zref * WL).sum(axis=-1)))
+        fL, fU = (bilinear(WL, bL, z_lo, fL, fU, lower_side=True),
+                  bilinear(WU, bU, z_lo, fL, fU, lower_side=False))
+        zetaL = np.maximum(extreme(fL, ranges, minimize=True), ibp_pre[k][0])
+        zetaU = np.minimum(extreme(fU, ranges, minimize=False), ibp_pre[k][1])
+        zetaL = np.minimum(zetaL, zetaU)
+        if k == len(net.layers) - 1:
+            return zetaL, zetaU
+        act = net.layers[k].activation
+        aL, betaL, aU, betaU = relax_activation(act, zetaL, zetaU)
+        fL, fU = (scale(fL, fU, aL, betaL, lower_side=True),
+                  scale(fL, fU, aU, betaU, lower_side=False))
+        z_lo = activate(act, zetaL)
+
+
+def reference_case(rng, act, n_layers, shape):
+    """A random net with n_layers layers and boxes of one of four shapes:
+    one pair, a stack of K pairs, (M, 1, n_in) regions against K boxes, or
+    point regions against K boxes. A third of the weight coordinates have
+    zero width."""
+    net = random_net(rng, n_layers=n_layers - 1, min_width=2, max_width=10,
+                     activation=act)
+    K, M = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    lead_x, lead_w = {"one": ((), ()), "stack": ((K,), (K,)),
+                      "regions": ((M, 1), (K,)), "points": ((M, 1), (K,))}[shape]
+    xc = rng.uniform(-1.0, 1.0, (*lead_x, net.input_dim))
+    xw = 0.0 if shape == "points" else rng.uniform(0, 0.4, xc.shape)
+    wc = rng.normal(0, 1.0, (*lead_w, net.n_weights))
+    ww = rng.uniform(0, 0.2, wc.shape)
+    ww[..., ::3] = 0.0
+    return net, InputBox(lower=xc - xw, upper=xc + xw), WeightBox(
+        lower=wc - ww, upper=wc + ww)
+
+
 def pinned_instance(dims, act, seed, w_scale):
     rng = np.random.default_rng(seed)
     net = Network.dense(dims, activation=act)
@@ -183,6 +259,52 @@ class TestLbp:
         net = Network.dense([3, 7, 6, 5, 2], activation="tanh")
         lbp_forward(net, *random_boxes(rng, net))
         assert shapes == [(7,), (6,), (5,)]
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    def test_bits_equal_the_dense_identity_reference(self, act, n_layers,
+                                                      monkeypatch):
+        mixed = []
+        real = propagate_mod.relax_activation
+
+        def spying(kind, zl, zu):
+            mixed.append(np.any((zl < 0) & (zu > 0)))
+            return real(kind, zl, zu)
+
+        monkeypatch.setattr(propagate_mod, "relax_activation", spying)
+        rng = np.random.default_rng(10 * n_layers + (act == "tanh"))
+        for trial in range(40):
+            shape = ("one", "stack", "regions", "points")[trial % 4]
+            net, T, R = reference_case(rng, act, n_layers, shape)
+            got, want = lbp_forward(net, T, R), dense_identity_lbp(net, T, R)
+            for y, ref in zip(got, want):
+                assert y.shape == ref.shape
+                assert np.array_equal(y, ref)
+        # Some hidden intervals cross zero (for tanh, the mixed-sign branch).
+        assert any(mixed) or n_layers == 1
+
+    def test_newest_layer_coefficient_is_a_diagonal(self, rng, monkeypatch):
+        seen = []
+        real = propagate_mod._lbf_extreme
+
+        def spying(f, T, ranges, minimize):
+            seen.append(([C.shape for C in f.coef], np.shape(f.diag)))
+            return real(f, T, ranges, minimize)
+
+        monkeypatch.setattr(propagate_mod, "_lbf_extreme", spying)
+        net = Network.dense([3, 7, 6, 5, 2], activation="tanh")
+        rows, K = [7, 6, 5, 2], 2
+        T, R = random_boxes(rng, net)
+        T = InputBox(lower=np.stack([T.lower] * K), upper=np.stack([T.upper] * K))
+        R = WeightBox(lower=np.stack([R.lower] * K), upper=np.stack([R.upper] * K))
+        lbp_forward(net, T, R)
+        # A lower and an upper bounding function per layer: layer l holds l
+        # dense blocks, one per layer before it, and its own coefficient as
+        # a vector of rows_l entries, never a (rows_l, rows_l) identity.
+        assert len(seen) == 2 * len(rows)
+        for (coef, diag), l in zip(seen, np.repeat(np.arange(len(rows)), 2)):
+            assert coef == [(K, rows[l], rows[j]) for j in range(l)]
+            assert np.broadcast_shapes(diag, (K, rows[l])) == (K, rows[l])
 
     def test_point_weights_exact_linear_image(self):
         net = Network.dense([2, 2])

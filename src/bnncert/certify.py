@@ -12,20 +12,28 @@ box, and reduce those values to a bound.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import attack as attack_mod
+from . import posterior as posterior_mod
 from .net import Network, ShapeError
-from .posterior import (Posterior, WeightBox, box_mass, disjointify,
-                        inclusion_exclusion, make_box, sample)
+from .posterior import (Posterior, WeightBox, box_mass, disjointify, draws,
+                        half_width, inclusion_exclusion)
 from .propagate import propagate
 from .spec import (InputBox, OutputSpec, contains, excludes, margins,
                    stack_specs)
 
 log = logging.getLogger("bnncert.certify")
+# One line per box set, apart from the one line per certificate batch.
+box_log = logging.getLogger("bnncert.certify.box_set")
+# box_set draws and boxes on one buffer; perfbench/spans.py still traces
+# ``sample`` and ``make_box`` by these names.
+sample, make_box = posterior_mod.sample, posterior_mod.make_box
 
 
 @dataclass
@@ -49,6 +57,12 @@ class CertifyConfig:
         attack_mod.check_count(self, "rng_seed", 0)
         if self.method not in ("ibp", "lbp"):
             raise ValueError(f"unknown method {self.method!r}")
+        if not (isinstance(self.gamma, numbers.Real)
+                and 0.0 <= self.gamma < math.inf):
+            raise ValueError(f"gamma must be finite and nonnegative, not "
+                             f"{self.gamma!r}")
+        if self.margin_scale not in ("std", "var"):
+            raise ValueError(f"unknown margin scale {self.margin_scale!r}")
         if self.bonferroni is not None and (self.bonferroni < 2
                                             or self.bonferroni % 2):
             raise ValueError("bonferroni must be an even depth >= 2")
@@ -142,24 +156,36 @@ def box_set(posterior: Posterior, cfg: CertifyConfig) -> BoxSet:
     Bonferroni pricing keeps one copy of each repeated box (an atom drawn
     twice): the union of identical boxes is that box, so this is exact,
     while a truncated inclusion-exclusion over k copies is not."""
-    draws = np.reshape([sample(posterior, (cfg.rng_seed, i))
-                        for i in range(cfg.num_samples)],
-                       (cfg.num_samples, posterior.n_weights))
-    stack = make_box(draws, cfg.gamma, posterior, cfg.margin_scale)
+    t0 = time.perf_counter()
+    hw = half_width(posterior, cfg.gamma, cfg.margin_scale)
+    # The box corners are built on the buffer of the draws: the upper corner
+    # is the draws shifted in place. Atom boxes have zero width and keep the
+    # draws as both corners (adding 0.0 would turn -0.0 into +0.0).
+    lower = upper = draws(posterior, [(cfg.rng_seed, i)
+                                      for i in range(cfg.num_samples)])
+    if hw is not None:
+        lower = upper - hw
+        upper += hw
+    stack = WeightBox(lower=lower, upper=upper)
+    used = len(upper)
     if cfg.bonferroni is None:
-        keep = disjointify(stack.lower, stack.upper)
+        keep = disjointify(lower, upper)
     else:
         first = {}
-        for i, (lo, hi) in enumerate(zip(stack.lower, stack.upper)):
+        for i, (lo, hi) in enumerate(zip(lower, upper)):
             first.setdefault((lo.tobytes(), hi.tobytes()), i)
         keep = list(first.values())
-    if len(keep) < len(draws):
-        stack = WeightBox(lower=stack.lower[keep], upper=stack.upper[keep])
-    return BoxSet(posterior=posterior, boxes=stack,
-                  masses=box_mass(posterior, stack),
-                  terms=inclusion_exclusion(stack, posterior,
-                                            cfg.bonferroni or 1),
-                  used=len(draws), built_for=_box_key(cfg))
+    if len(keep) < used:
+        lower, upper = lower[keep], upper[keep]
+        stack = WeightBox(lower=lower, upper=upper)
+    boxes = BoxSet(posterior=posterior, boxes=stack,
+                   masses=box_mass(posterior, stack),
+                   terms=inclusion_exclusion(stack, posterior,
+                                             cfg.bonferroni or 1),
+                   used=used, built_for=_box_key(cfg))
+    box_log.debug("box_set: %d of %d boxes kept, %.6f s", len(keep), used,
+                  time.perf_counter() - t0)
+    return boxes
 
 
 def _config(cfg: CertifyConfig) -> dict:

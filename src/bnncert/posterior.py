@@ -114,39 +114,62 @@ class WeightBox:
         return 0.5 * (self.lower + self.upper)
 
 
-def sample(posterior: Posterior, rng_seed) -> np.ndarray:
-    """Draw one weight vector; the seed fully determines the draw."""
-    rng = np.random.default_rng(rng_seed)
+def draws(posterior: Posterior, seeds) -> np.ndarray:
+    """One weight vector per seed, stacked (len(seeds), n_w); each seed
+    alone decides its row, so a longer list of seeds extends a shorter one.
+
+    Gaussian: each seed's generator fills its own row, and the stack is
+    scaled and shifted in place, with the bits of mean + std * z.
+    """
+    rngs = [np.random.default_rng(s) for s in seeds]
     if isinstance(posterior, GaussianPosterior):
-        return posterior.mean + posterior.std * rng.standard_normal(posterior.n_weights)
+        out = np.empty((len(rngs), posterior.n_weights))
+        for rng, row in zip(rngs, out):
+            rng.standard_normal(out=row)
+        out *= posterior.std
+        out += posterior.mean
+        return out
     # The inverse-CDF draw rng.choice(n, p=weights) makes, without its
     # checks of p, which the posterior already validated.
     cdf = posterior.weights.cumsum()
     cdf /= cdf[-1]
-    idx = cdf.searchsorted(rng.random(), side="right")
-    return posterior.samples[idx].copy()
+    idx = cdf.searchsorted([rng.random() for rng in rngs], side="right")
+    return np.take(posterior.samples, idx, axis=0)
+
+
+def sample(posterior: Posterior, rng_seed) -> np.ndarray:
+    """Draw one weight vector; the seed fully determines the draw."""
+    return draws(posterior, [rng_seed])[0]
+
+
+def half_width(posterior: Posterior, gamma: float,
+               margin_scale: str = "std") -> np.ndarray | None:
+    """Per-weight half-width of a box gamma posterior scales wide: gamma
+    standard deviations ('std') or gamma times the variance ('var'); None
+    for a sample posterior, whose boxes have zero width."""
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError("gamma must be finite and nonnegative")
+    if isinstance(posterior, SamplePosterior):
+        return None
+    if margin_scale == "std":
+        hw = posterior.std
+        hw *= gamma
+        return hw
+    if margin_scale == "var":
+        return gamma * posterior.variance
+    raise ValueError(f"unknown margin scale {margin_scale!r}")
 
 
 def make_box(w: np.ndarray, gamma: float, posterior: Posterior,
              margin_scale: str = "std") -> WeightBox:
-    """Axis-aligned box of half-width gamma (in posterior scale) around w,
-    or a stack of boxes around the rows of w, shape (N, n_w).
-
-    margin_scale 'std' uses gamma standard deviations per weight, 'var' uses
-    gamma times the variance. Sample-based posteriors always get zero-width
-    boxes, so the box probability is the atom's own mass.
+    """Axis-aligned box of ``half_width`` around w, or a stack of boxes
+    around the rows of w, shape (N, n_w). Sample-based posteriors always
+    get zero-width boxes, so the box probability is the atom's own mass.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    hw = half_width(posterior, gamma, margin_scale)
     w = np.asarray(w, dtype=float)
-    if isinstance(posterior, SamplePosterior):
+    if hw is None:
         return WeightBox(lower=w, upper=w)
-    if margin_scale == "std":
-        hw = gamma * posterior.std
-    elif margin_scale == "var":
-        hw = gamma * posterior.variance
-    else:
-        raise ValueError(f"unknown margin scale {margin_scale!r}")
     return WeightBox(lower=w - hw, upper=w + hw)
 
 
@@ -169,11 +192,16 @@ def box_mass(posterior: Posterior, box: WeightBox):
     else:
         if lower.shape[-1] != posterior.n_weights:
             raise ShapeError("box dimensionality differs from posterior")
-        # In place: over a stack, every temporary holds K x n_w entries.
-        denom = np.sqrt(2.0 * posterior.variance)
-        per_dim = np.divide(posterior.mean - lower, denom)
+        # 0.5 * (erf((mean - lower) / denom) - erf((mean - upper) / denom)),
+        # in place on two work arrays of the stack's shape.
+        denom = 2.0 * posterior.variance
+        np.sqrt(denom, out=denom)
+        per_dim = np.subtract(posterior.mean, lower)
+        per_dim /= denom
         erf(per_dim, out=per_dim)
-        per_dim -= erf((posterior.mean - upper) / denom)
+        work = np.subtract(posterior.mean, upper)
+        work /= denom
+        per_dim -= erf(work, out=work)
         per_dim *= 0.5
         np.clip(per_dim, 0.0, 1.0, out=per_dim)
         empty = np.any(per_dim == 0.0, axis=-1)

@@ -118,9 +118,12 @@ def stack_specs(S, M: int, n_out: int):
     if any(s.n_outputs != n_out for s in specs):
         raise ShapeError(f"specs must have {n_out} outputs")
     r = max((len(s.d) for s in specs), default=1)
-    rows = [np.minimum(np.arange(r), len(s.d) - 1) for s in specs]
-    return (np.reshape([s.C[i] for s, i in zip(specs, rows)], (-1, r, n_out)),
-            np.reshape([s.d[i] for s, i in zip(specs, rows)], (-1, r)))
+
+    def padded(a):          # a spec's C or d, one entry per row
+        return a if len(a) == r else a[np.minimum(np.arange(r), len(a) - 1)]
+
+    return (np.reshape([padded(s.C) for s in specs], (-1, r, n_out)),
+            np.reshape([padded(s.d) for s in specs], (-1, r)))
 
 
 def margins(C, d, yL, yU):

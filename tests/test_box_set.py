@@ -6,9 +6,13 @@ must match a reference that evaluates one box at a time.
 """
 
 import dataclasses
+import itertools
+import logging
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from bnncert import attack, certify, search
 from bnncert.attack import AttackConfig, pgd
@@ -17,7 +21,7 @@ from bnncert.certify import (CertifyConfig, Task, box_set,
                              dsafe_upper, psafe_lower, psafe_upper)
 from bnncert.net import Network, backprop
 from bnncert.posterior import (GaussianPosterior, SamplePosterior, WeightBox,
-                               box_mass, disjointify, make_box, sample)
+                               box_mass, disjointify, draws, make_box, sample)
 from bnncert.propagate import ibp_forward, lbp_forward, propagate
 from bnncert.search import (RadiusSearchConfig, max_robust_radius,
                             min_unrobust_radius)
@@ -297,10 +301,10 @@ def test_search_samples_once_per_call(fn, monkeypatch):
     cfg = CertifyConfig(num_samples=7, gamma=3.0)
     scfg = RadiusSearchConfig(eps_start_safe=0.05, eps_start_unsafe=0.05,
                               step=0.05, eps_cap=0.5)
-    calls = counting(monkeypatch, certify, "sample")
+    calls = counting(monkeypatch, certify, "draws")
     res = fn(net, post, np.zeros(1), argmax_spec(0, 2), cfg, scfg)
     assert len(res.epsilons) > 1
-    assert len(calls) == cfg.num_samples
+    assert [len(seeds) for _, seeds in calls] == [cfg.num_samples]
 
 
 def test_a_points_two_searches_build_one_box_set(hmc_atoms, monkeypatch):
@@ -328,13 +332,13 @@ def test_a_points_two_searches_build_one_box_set(hmc_atoms, monkeypatch):
     seed4 = dataclasses.replace(cfg, rng_seed=4)
     runs = [(post, cfg), (other, cfg), (other, seed4),
             (other, dataclasses.replace(seed4, gamma=0.5))]
-    calls = counting(monkeypatch, certify, "sample")
+    calls = counting(monkeypatch, certify, "draws")
     got, sampled = [], []
     for p, c in runs:
         calls.clear()
         got.append(search_pair((p, p), c))
-        sampled.append(len(calls))
-    assert sampled == [cfg.num_samples] * len(runs)
+        sampled.append([len(seeds) for _, seeds in calls])
+    assert sampled == [[cfg.num_samples]] * len(runs)
     assert got == [search_pair((twin(), twin()), c) for _, c in runs]
 
 
@@ -400,3 +404,124 @@ def test_mean_bound_of_zero_masses_is_a_positive_zero():
                                       lower=False)
     assert covered == 0.0
     assert value.tolist() == [0.0, 0.0] and not np.signbit(value).any()
+
+
+def frozen_box_set(post, cfg):
+    """The box set as it was built before one buffer held it: a list of
+    one-seed draws, stacked by np.reshape, boxed as make_box boxes them, and
+    integrated by the two-pass erf formula. Returns the kept corners, the
+    masses and the Bonferroni terms."""
+    def one_draw(seed):
+        rng = np.random.default_rng(seed)
+        if isinstance(post, GaussianPosterior):
+            return post.mean + post.std * rng.standard_normal(post.n_weights)
+        cdf = post.weights.cumsum()
+        cdf /= cdf[-1]
+        return post.samples[cdf.searchsorted(rng.random(), side="right")].copy()
+
+    def mass(lower, upper):
+        if isinstance(post, SamplePosterior):
+            return box_mass(post, WeightBox(lower=lower, upper=upper))
+        denom = np.sqrt(2.0 * post.variance)
+        per_dim = np.divide(post.mean - lower, denom)
+        erf(per_dim, out=per_dim)
+        per_dim -= erf((post.mean - upper) / denom)
+        per_dim *= 0.5
+        np.clip(per_dim, 0.0, 1.0, out=per_dim)
+        empty = np.any(per_dim == 0.0, axis=-1)
+        with np.errstate(divide="ignore"):
+            m = np.exp(np.log(per_dim, out=per_dim).sum(axis=-1))
+        m = np.clip(np.where(empty, 0.0, m), 0.0, 1.0)
+        return float(m) if m.ndim == 0 else m
+
+    N = cfg.num_samples
+    w = np.reshape([one_draw((cfg.rng_seed, i)) for i in range(N)],
+                   (N, post.n_weights))
+    if isinstance(post, SamplePosterior):
+        lower = upper = w
+    else:
+        hw = cfg.gamma * (post.std if cfg.margin_scale == "std"
+                          else post.variance)
+        lower, upper = w - hw, w + hw
+    if cfg.bonferroni is None:
+        keep = disjointify(lower, upper)
+    else:
+        first = {}
+        for i, (lo, hi) in enumerate(zip(lower, upper)):
+            first.setdefault((lo.tobytes(), hi.tobytes()), i)
+        keep = list(first.values())
+    lower, upper = lower[keep], upper[keep]
+    terms = []
+    for j in range(2, min(cfg.bonferroni or 1, len(keep)) + 1):
+        for J in itertools.combinations(range(len(keep)), j):
+            lo, hi = lower[list(J)].max(axis=0), upper[list(J)].min(axis=0)
+            if np.all(lo <= hi):
+                terms.append((J, (-1.0) ** (j + 1) * mass(lo, hi)))
+    return lower, upper, mass(lower, upper), terms
+
+
+def gaussian_and_atom_configs(rng):
+    """Posteriors and configs: Gaussians of 3 weights (whose boxes often
+    overlap, so disjointify drops some) and of 40, under both margin scales;
+    atom posteriors drawn with repeats, with a -0.0 entry."""
+    for n in (3, 40):
+        post = GaussianPosterior(mean=rng.normal(0, 1, n),
+                                 variance=rng.uniform(0.01, 2.0, n))
+        for gamma, scale, N, bonferroni in itertools.product(
+                (0.0, 0.5, 2.5), ("std", "var"), (1, 3, 8), (None, 2)):
+            yield post, CertifyConfig(num_samples=N, gamma=gamma,
+                                      margin_scale=scale, bonferroni=bonferroni,
+                                      rng_seed=int(rng.integers(100)))
+    atoms = rng.normal(size=(3, 5))
+    atoms[:, 0] = -0.0
+    for weights in (None, [0.6, 0.3, 0.1]):
+        post = SamplePosterior(samples=atoms, weights=weights)
+        for N, bonferroni in itertools.product((1, 3, 8), (None, 2, 4)):
+            yield post, CertifyConfig(num_samples=N, gamma=0.0,
+                                      bonferroni=bonferroni, rng_seed=N)
+
+
+def test_box_set_bits_equal_the_frozen_build(rng):
+    dropped = 0
+    for post, cfg in gaussian_and_atom_configs(rng):
+        got = box_set(post, cfg)
+        lower, upper, masses, terms = frozen_box_set(post, cfg)
+        for a, b in ((got.boxes.lower, lower), (got.boxes.upper, upper),
+                     (got.masses, masses)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert got.terms == terms and got.used == cfg.num_samples
+        dropped += len(masses) < cfg.num_samples
+    assert dropped > 10
+
+
+def test_box_set_memory_is_under_five_stacks():
+    """Draws, corners and masses share buffers: the peak of a box set is
+    under 5 stacks of N x n_w doubles (the draws, which become the upper
+    corner, the lower corner, two mass work arrays and n_w-sized rows)."""
+    n, N = 17_285, 8
+    rng = np.random.default_rng(0)
+    post = GaussianPosterior(mean=rng.normal(0.0, 0.1, n),
+                             variance=np.full(n, 1e-4))
+    cfg = CertifyConfig(num_samples=N, gamma=2.5)
+    box_set(post, cfg)
+    tracemalloc.start()
+    try:
+        boxes = box_set(post, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(boxes.masses) == N
+    assert peak < 5 * N * n * 8
+
+
+def test_box_set_logs_one_debug_line(caplog):
+    caplog.set_level(logging.DEBUG, logger="bnncert.certify")
+    post = SamplePosterior(samples=np.array([[0.0], [1.0]]))
+    boxes = box_set(post, CertifyConfig(num_samples=6))
+    lines = [r for r in caplog.records
+             if r.name == "bnncert.certify.box_set"]
+    assert len(lines) == 1
+    assert lines[0].args[:2] == (len(boxes.masses), 6) and lines[0].args[2] >= 0
+    assert lines[0].getMessage().startswith(
+        f"box_set: {len(boxes.masses)} of 6 boxes kept, ")

@@ -377,6 +377,16 @@ class TestProperties:
         assert lines[0].getMessage().startswith(
             "psafe_lower: 3 regions, 2 of 4 boxes kept, ")
 
+    @pytest.mark.parametrize("gamma", [-0.5, np.nan, np.inf, -np.inf, "2"])
+    def test_gamma_must_be_finite_and_nonnegative(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            cfg(gamma=gamma)
+
+    @pytest.mark.parametrize("scale", ["STD", "variance", None])
+    def test_margin_scale_must_be_std_or_var(self, scale):
+        with pytest.raises(ValueError, match="margin scale"):
+            cfg(margin_scale=scale)
+
     @pytest.mark.parametrize("depth", [0, 1, 3])
     def test_bonferroni_depth_must_be_even(self, depth):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from bnncert import cli
 from bnncert.cli import main
 from bnncert.io import load_posterior, save_posterior, save_spec
 from bnncert.net import LayerSpec, Network
-from bnncert.posterior import GaussianPosterior
+from bnncert.posterior import GaussianPosterior, SamplePosterior
 
 
 @pytest.fixture
@@ -105,6 +105,19 @@ class TestCertifyCommand:
         code, _ = run(capsys, "certify", "--posterior", safe_posterior_file,
                       "--spec", spec_file, "--property", "bogus")
         assert code == 64
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
+    def test_bad_gamma_exit_64_on_atoms(self, capsys, spec_file, tmp_path,
+                                        gamma):
+        """A sample posterior never uses gamma, so only the config check
+        stops a NaN from reaching the certificate JSON."""
+        path = tmp_path / "atoms.json"
+        save_posterior(path, Network.dense([2, 2]),
+                       SamplePosterior(samples=np.ones((2, 6))))
+        code, out = run(capsys, "certify", "--posterior", str(path),
+                        "--spec", spec_file, "--gamma", gamma)
+        assert code == 64 and out.out == ""
+        assert "gamma" in out.err
 
     def test_deterministic_output(self, capsys, safe_posterior_file, spec_file):
         args = ("certify", "--posterior", safe_posterior_file, "--spec",

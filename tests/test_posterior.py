@@ -10,7 +10,7 @@ from scipy.stats import norm
 from bnncert import posterior as posterior_mod
 from bnncert.posterior import (GaussianPosterior, SamplePosterior, WeightBox,
                                bonferroni_bounds, box_mass, disjointify,
-                               inclusion_exclusion, make_box, sample)
+                               draws, inclusion_exclusion, make_box, sample)
 
 STD_NORMAL = GaussianPosterior(mean=np.zeros(1), variance=np.ones(1))
 
@@ -56,6 +56,19 @@ class TestSample:
             idx = int(sample(post, seed)[0])
             assert idx == np.random.default_rng(seed).choice(n, p=post.weights)
             assert post.weights[idx] > 0.0
+
+    @pytest.mark.parametrize("post", [
+        GaussianPosterior(mean=[0.5, -1.0, 2.0], variance=[0.1, 1.0, 3.0]),
+        SamplePosterior(samples=np.arange(12.0).reshape(4, 3),
+                        weights=[0.1, 0.2, 0.3, 0.4])], ids=["gauss", "atoms"])
+    def test_a_draw_is_a_one_seed_stack(self, post):
+        seeds = [0, 5, (1, 2), (7, 3)]
+        stack = draws(post, seeds)
+        assert stack.shape == (len(seeds), post.n_weights)
+        for seed, row in zip(seeds, stack):
+            assert np.array_equal(sample(post, seed), draws(post, [seed])[0])
+            assert np.array_equal(sample(post, seed), row)
+        assert draws(post, []).shape == (0, post.n_weights)
 
 
 class TestMakeBox:

@@ -16,7 +16,8 @@ from .posterior import (GaussianPosterior, SamplePosterior, WeightBox,
 from .propagate import ibp_forward, lbp_forward
 from .search import (RadiusResult, RadiusSearchConfig, max_robust_radius,
                      min_unrobust_radius)
-from .spec import InputBox, OutputSpec, argmax_spec, contains, excludes, linf_ball
+from .spec import (Box, InputBox, OutputSpec, argmax_spec, contains, excludes,
+                   linf_ball)
 from .trainer import HmcConfig, TrainConfig, fit_vi, sample_hmc
 
 __version__ = "0.1.0"
@@ -33,7 +34,7 @@ __all__ = [
     "ibp_forward", "lbp_forward",
     "RadiusResult", "RadiusSearchConfig", "max_robust_radius",
     "min_unrobust_radius",
-    "InputBox", "OutputSpec", "argmax_spec", "contains", "excludes",
+    "Box", "InputBox", "OutputSpec", "argmax_spec", "contains", "excludes",
     "linf_ball",
     "HmcConfig", "TrainConfig", "fit_vi", "sample_hmc",
 ]

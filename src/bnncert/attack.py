@@ -14,7 +14,7 @@ import numpy as np
 
 from . import net as net_mod
 from .net import Network, backprop
-from .spec import InputBox, OutputSpec, stack_specs
+from .spec import Box, OutputSpec, stack_specs
 
 log = logging.getLogger("bnncert.attack")
 # PGD takes only backprop steps; perfbench/spans.py still traces
@@ -45,7 +45,7 @@ class AttackConfig:
             check_count(self, name, least)
 
 
-def pgd(net: Network, w: np.ndarray, T: InputBox,
+def pgd(net: Network, w: np.ndarray, T: Box,
         S: OutputSpec | list[OutputSpec], acfg: AttackConfig) -> np.ndarray:
     """Projected gradient descent over T on the spec margin
     min(C y + d), which is negative exactly where the point violates S;

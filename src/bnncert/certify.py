@@ -22,11 +22,10 @@ import numpy as np
 from . import attack as attack_mod
 from . import posterior as posterior_mod
 from .net import Network, ShapeError
-from .posterior import (Posterior, WeightBox, box_mass, disjointify, draws,
-                        half_width, inclusion_exclusion)
+from .posterior import (Posterior, box_mass, disjointify, draws, half_width,
+                        inclusion_exclusion)
 from .propagate import propagate
-from .spec import (InputBox, OutputSpec, contains, excludes, margins,
-                   stack_specs)
+from .spec import Box, OutputSpec, contains, excludes, margins, stack_specs
 
 log = logging.getLogger("bnncert.certify")
 # One line per box set, apart from the one line per certificate batch.
@@ -102,7 +101,7 @@ class BoxSet:
     """
 
     posterior: Posterior
-    boxes: WeightBox           # lower/upper of shape (K, n_w)
+    boxes: Box                 # lower/upper of shape (K, n_w)
     masses: np.ndarray         # (K,)
     terms: list                # [(J, s_J m(J))] of inclusion_exclusion
     used: int                  # boxes sampled before disjointify or dedupe
@@ -166,7 +165,7 @@ def box_set(posterior: Posterior, cfg: CertifyConfig) -> BoxSet:
     if hw is not None:
         lower = upper - hw
         upper += hw
-    stack = WeightBox(lower=lower, upper=upper)
+    stack = Box(lower=lower, upper=upper)
     used = len(upper)
     if cfg.bonferroni is None:
         keep = disjointify(lower, upper)
@@ -177,7 +176,7 @@ def box_set(posterior: Posterior, cfg: CertifyConfig) -> BoxSet:
         keep = list(first.values())
     if len(keep) < used:
         lower, upper = lower[keep], upper[keep]
-        stack = WeightBox(lower=lower, upper=upper)
+        stack = Box(lower=lower, upper=upper)
     boxes = BoxSet(posterior=posterior, boxes=stack,
                    masses=box_mass(posterior, stack),
                    terms=inclusion_exclusion(stack, posterior,
@@ -218,7 +217,7 @@ def _certificate(prop, direction, value, covered, boxes, kept, wall_time,
 _CHUNK_ENTRIES = 2 ** 14
 
 
-def _over_regions(net, posterior, T: InputBox, S, cfg, boxes,
+def _over_regions(net, posterior, T: Box, S, cfg, boxes,
                   attack: bool = False):
     """The one propagate body behind every certificate and the only code that
     batches pairs: regions T, (n_in,) or (M, n_in), with specs S (one, M or
@@ -250,20 +249,20 @@ def _over_regions(net, posterior, T: InputBox, S, cfg, boxes,
     for first in range(0, M, chunk):
         cells = slice(first, first + chunk)
         if attack:
-            x = attack_mod.pgd(net, boxes.boxes.center, InputBox(
+            x = attack_mod.pgd(net, boxes.boxes.center, Box(
                 lower=lo[cells], upper=hi[cells]),
                 S if isinstance(S, OutputSpec) else S[cells],
                 cfg.attack or attack_mod.AttackConfig())
         for ks in (slice(k, k + step) for k in range(0, K, step)):
-            Tc = (InputBox.point(x[:, ks]) if attack else
-                  InputBox(lower=lo[cells, None], upper=hi[cells, None]))
-            R = boxes.boxes if step >= K else WeightBox(
+            Tc = (Box.point(x[:, ks]) if attack else
+                  Box(lower=lo[cells, None], upper=hi[cells, None]))
+            R = boxes.boxes if step >= K else Box(
                 boxes.boxes.lower[ks], boxes.boxes.upper[ks])
             yL[cells, ks], yU[cells, ks] = propagate(net, Tc, R, cfg.method)
     return boxes, specs, yL, yU
 
 
-def _psafe(net, posterior, T: InputBox, S, cfg, boxes, check):
+def _psafe(net, posterior, T: Box, S, cfg, boxes, check):
     """Both P_safe bounds. Each (region, box) pair gets the flag that
     ``check`` returns for its spec and output box: ``contains`` for the
     lower bound, ``excludes`` at the attack point for the upper bound. One
@@ -285,7 +284,7 @@ def _psafe(net, posterior, T: InputBox, S, cfg, boxes, check):
     return certs if T.lower.ndim > 1 else certs[0]
 
 
-def psafe_lower(net: Network, posterior: Posterior, T: InputBox,
+def psafe_lower(net: Network, posterior: Posterior, T: Box,
                 S: OutputSpec | list[OutputSpec], cfg: CertifyConfig,
                 boxes: BoxSet | None = None) -> Certificate | list[Certificate]:
     """Sound lower bound: mass of sampled weight boxes whose propagated
@@ -301,7 +300,7 @@ def psafe_lower(net: Network, posterior: Posterior, T: InputBox,
     return _psafe(net, posterior, T, S, cfg, boxes, contains)
 
 
-def psafe_upper(net: Network, posterior: Posterior, T: InputBox,
+def psafe_upper(net: Network, posterior: Posterior, T: Box,
                 S: OutputSpec | list[OutputSpec], cfg: CertifyConfig,
                 boxes: BoxSet | None = None) -> Certificate | list[Certificate]:
     """Sound upper bound: 1 minus the mass of boxes certified unsafe.
@@ -386,7 +385,7 @@ def _dsafe(net, posterior, T, cfg, task, lower: bool, boxes):
     return certs if T.lower.ndim > 1 else certs[0]
 
 
-def dsafe_lower(net: Network, posterior: Posterior, T: InputBox,
+def dsafe_lower(net: Network, posterior: Posterior, T: Box,
                 cfg: CertifyConfig, task: Task,
                 boxes: BoxSet | None = None) -> Certificate | list[Certificate]:
     """Sound lower bound on the posterior-predictive decision for one output;
@@ -394,7 +393,7 @@ def dsafe_lower(net: Network, posterior: Posterior, T: InputBox,
     return _dsafe(net, posterior, T, cfg, task, True, boxes)
 
 
-def dsafe_upper(net: Network, posterior: Posterior, T: InputBox,
+def dsafe_upper(net: Network, posterior: Posterior, T: Box,
                 cfg: CertifyConfig, task: Task,
                 boxes: BoxSet | None = None) -> Certificate | list[Certificate]:
     """Sound upper bound on the posterior-predictive decision for one output;
@@ -402,7 +401,7 @@ def dsafe_upper(net: Network, posterior: Posterior, T: InputBox,
     return _dsafe(net, posterior, T, cfg, task, False, boxes)
 
 
-def dsafe_bounds_all_classes(net: Network, posterior: Posterior, T: InputBox,
+def dsafe_bounds_all_classes(net: Network, posterior: Posterior, T: Box,
                              cfg: CertifyConfig, boxes: BoxSet | None = None):
     """Per-class decision bounds sharing one box set and one propagation
     pass, as (lowers, uppers) arrays of shape (output_dim,) for one region
@@ -416,7 +415,7 @@ def dsafe_bounds_all_classes(net: Network, posterior: Posterior, T: InputBox,
     return lowers.reshape(shape), uppers.reshape(shape)
 
 
-def decision_robust(net: Network, posterior: Posterior, T: InputBox,
+def decision_robust(net: Network, posterior: Posterior, T: Box,
                     true_class: int, cfg: CertifyConfig) -> str:
     """Tri-state decision certificate over the predictive softmax mean.
 
@@ -438,7 +437,7 @@ def decision_robust(net: Network, posterior: Posterior, T: InputBox,
     return "unknown"
 
 
-def uncertainty_check(net: Network, posterior: Posterior, T: InputBox,
+def uncertainty_check(net: Network, posterior: Posterior, T: Box,
                       tau_uncertain: float, cfg: CertifyConfig) -> bool:
     """True iff no class's predictive mean can reach tau_uncertain on T."""
     if not 0.0 < tau_uncertain < 1.0:

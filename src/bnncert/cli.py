@@ -23,7 +23,7 @@ from . import io as io_mod
 from . import oracle, search, trainer
 from .net import Network, ShapeError, forward
 from .posterior import GaussianPosterior
-from .spec import InputBox, argmax_spec, linf_ball
+from .spec import Box, argmax_spec, linf_ball
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -153,9 +153,10 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _grid_cells(grid) -> InputBox:
+def _grid_cells(grid) -> Box:
     """The grid's cells, covering [min, max) per dimension, as one stack of
-    input boxes; cell i is row i."""
+    input boxes; cell i is row i. A row with min == max fixes its
+    coordinate: one cell of zero width."""
     try:
         grid = np.asarray(grid, dtype=float)
     except (TypeError, ValueError) as e:
@@ -164,16 +165,16 @@ def _grid_cells(grid) -> InputBox:
         raise io_mod.FileFormatError("grid needs [min, max, cell_width] rows")
     axes = []
     for lo, hi, width in grid:
-        if not np.all(np.isfinite((lo, hi, width))) or width <= 0 or hi <= lo:
-            raise io_mod.FileFormatError("grid needs finite lo < hi and "
+        if not np.all(np.isfinite((lo, hi, width))) or width <= 0 or hi < lo:
+            raise io_mod.FileFormatError("grid needs finite lo <= hi and "
                                          "cell_width > 0")
         # Rounding can make arange add a last cell that starts at hi, as
         # (1.3 - 1) / 0.1 > 3 does; count the cells with a tolerance.
         n = math.ceil((hi - lo) / width - 1e-9)
         edges = np.arange(lo, hi, width)[:n]
-        axes.append([(e, min(e + width, hi)) for e in edges])
+        axes.append([(e, min(e + width, hi)) for e in edges] or [(lo, hi)])
     cells = np.reshape(list(itertools.product(*axes)), (-1, len(axes), 2))
-    return InputBox(lower=cells[..., 0], upper=cells[..., 1])
+    return Box(lower=cells[..., 0], upper=cells[..., 1])
 
 
 def cmd_sweep(args) -> int:

@@ -97,7 +97,7 @@ def save_spec(path, doc: dict) -> None:
 
 
 def load_spec(path, n_outputs: int | None = None):
-    """Read a specification file into (InputBox, OutputSpec, meta).
+    """Read a specification file into (Box, OutputSpec, meta).
 
     Schema: {center, epsilon (scalar or vector), clip?: [lo, hi],
     true_class | constraints: {C, d}}. With true_class, n_outputs must be

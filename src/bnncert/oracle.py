@@ -14,7 +14,7 @@ from scipy.stats import beta
 from . import attack as attack_mod
 from .net import Network, forward, softmax
 from .posterior import GaussianPosterior, Posterior
-from .spec import InputBox, OutputSpec
+from .spec import Box, OutputSpec
 
 _CHUNK = 2048
 
@@ -27,7 +27,7 @@ def draw_weights(posterior: Posterior, n: int, seed: int = 0) -> np.ndarray:
     return posterior.samples[idx]
 
 
-def _probe_points(net: Network, T: InputBox, w_attack: np.ndarray,
+def _probe_points(net: Network, T: Box, w_attack: np.ndarray,
                   S: OutputSpec, n_grid: int, seed: int) -> np.ndarray:
     """Probe set for 'safe for all x in T': box corners-ish random grid plus
     one PGD point per attacked weight vector (rows of w_attack)."""
@@ -39,7 +39,7 @@ def _probe_points(net: Network, T: InputBox, w_attack: np.ndarray,
     return np.stack(pts)
 
 
-def psafe_estimate(net: Network, posterior: Posterior, T: InputBox,
+def psafe_estimate(net: Network, posterior: Posterior, T: Box,
                    S: OutputSpec, n_weights: int = 2000, n_grid: int = 32,
                    seed: int = 0, confidence: float = 0.999,
                    n_attacks: int = 1):
@@ -94,7 +94,7 @@ def predictive_mean_estimate(net: Network, posterior: Posterior, x: np.ndarray,
 
 
 def predictive_mean_range_estimate(net: Network, posterior: Posterior,
-                                   T: InputBox, n_weights: int = 1000,
+                                   T: Box, n_weights: int = 1000,
                                    n_points: int = 16, seed: int = 0,
                                    kind: str = "classification"):
     """Empirical (min, max) of the predictive mean over probe points in T,

@@ -1,4 +1,4 @@
-"""Weight-space posteriors, weight boxes and exact posterior box integrals."""
+"""Weight-space posteriors and exact posterior integrals over weight boxes."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import numpy as np
 from scipy.special import erf
 
 from .net import ShapeError
+from .spec import Box
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -85,33 +86,7 @@ class SamplePosterior:
 
 
 Posterior = GaussianPosterior | SamplePosterior
-
-
-@dataclass(frozen=True, eq=False)
-class WeightBox:
-    """An axis-aligned box over the flat weight vector, or a stack of K
-    boxes when ``lower`` and ``upper`` have shape (K, n_w)."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        if lo.ndim < 2:
-            lo, hi = lo.reshape(-1), hi.reshape(-1)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        if lo.shape != hi.shape or lo.ndim > 2:
-            raise ShapeError("box bounds must have equal shapes, (n_w,) or (K, n_w)")
-        _require_finite(lo, "box lower bound")
-        _require_finite(hi, "box upper bound")
-        if np.any(lo > hi):
-            raise ValueError("box lower bound exceeds upper bound")
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
+WeightBox = Box             # a box over the flat weight vector
 
 
 def draws(posterior: Posterior, seeds) -> np.ndarray:
@@ -161,7 +136,7 @@ def half_width(posterior: Posterior, gamma: float,
 
 
 def make_box(w: np.ndarray, gamma: float, posterior: Posterior,
-             margin_scale: str = "std") -> WeightBox:
+             margin_scale: str = "std") -> Box:
     """Axis-aligned box of ``half_width`` around w, or a stack of boxes
     around the rows of w, shape (N, n_w). Sample-based posteriors always
     get zero-width boxes, so the box probability is the atom's own mass.
@@ -169,11 +144,11 @@ def make_box(w: np.ndarray, gamma: float, posterior: Posterior,
     hw = half_width(posterior, gamma, margin_scale)
     w = np.asarray(w, dtype=float)
     if hw is None:
-        return WeightBox(lower=w, upper=w)
-    return WeightBox(lower=w - hw, upper=w + hw)
+        return Box(lower=w, upper=w)
+    return Box(lower=w - hw, upper=w + hw)
 
 
-def box_mass(posterior: Posterior, box: WeightBox):
+def box_mass(posterior: Posterior, box: Box):
     """Exact posterior probability of an axis-aligned weight box; for a
     stack of K boxes, an array of the K masses.
 
@@ -212,7 +187,7 @@ def box_mass(posterior: Posterior, box: WeightBox):
     return float(mass) if mass.ndim == 0 else mass
 
 
-def inclusion_exclusion(boxes: WeightBox, posterior: Posterior,
+def inclusion_exclusion(boxes: Box, posterior: Posterior,
                         depth: int) -> list[tuple[tuple, float]]:
     """The higher-order terms of truncated inclusion-exclusion over a stack
     of weight boxes: (J, s_J m(J)) for every index set J of 2 to ``depth``
@@ -236,11 +211,11 @@ def inclusion_exclusion(boxes: WeightBox, posterior: Posterior,
             hi = boxes.upper[list(combo)].min(axis=0)
             if np.all(lo <= hi):
                 terms.append((combo, sign * box_mass(
-                    posterior, WeightBox(lower=lo, upper=hi))))
+                    posterior, Box(lower=lo, upper=hi))))
     return terms
 
 
-def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
+def bonferroni_bounds(boxes: list[Box], posterior: Posterior,
                       depth_lower: int = 2, depth_upper: int = 1) -> tuple[float, float]:
     """Two-sided bounds on the posterior mass of a union of (possibly
     overlapping) boxes: inclusion-exclusion truncated at an even depth
@@ -251,8 +226,8 @@ def bonferroni_bounds(boxes: list[WeightBox], posterior: Posterior,
     if depth_upper % 2 != 1 or depth_upper < 1:
         raise ValueError("depth_upper must be an odd integer >= 1")
     shape = (len(boxes), posterior.n_weights)
-    stack = WeightBox(lower=np.reshape([b.lower for b in boxes], shape),
-                      upper=np.reshape([b.upper for b in boxes], shape))
+    stack = Box(lower=np.reshape([b.lower for b in boxes], shape),
+                upper=np.reshape([b.upper for b in boxes], shape))
     singles = sum(box_mass(posterior, stack))
     terms = inclusion_exclusion(stack, posterior, max(depth_lower, depth_upper))
     lower = sum((m for J, m in terms if len(J) <= depth_lower), singles)

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import Network, ShapeError, activate
-from .posterior import WeightBox
-from .spec import InputBox
+from .spec import Box
 
 
-def _unpack_box(net: Network, R: WeightBox):
+def _unpack_box(net: Network, R: Box):
     """Per-layer (WL, WU, bL, bU) arrays from a flat weight box, keeping a
     leading box axis."""
     if R.lower.shape[-1] != net.n_weights:
@@ -52,7 +51,7 @@ def _bilinear_interval(WL, WU, bL, bU, zL, zU):
     return tL.sum(axis=-1) + bL, tU.sum(axis=-1) + bU
 
 
-def ibp_layer_intervals(net: Network, T: InputBox, R: WeightBox):
+def ibp_layer_intervals(net: Network, T: Box, R: Box):
     """Pre-activation intervals (zetaL, zetaU) for every layer, last included.
 
     The leading axes of T broadcast against R's axis of K boxes, and every
@@ -72,7 +71,7 @@ def ibp_layer_intervals(net: Network, T: InputBox, R: WeightBox):
     return pre
 
 
-def ibp_forward(net: Network, T: InputBox, R: WeightBox):
+def ibp_forward(net: Network, T: Box, R: Box):
     """Output bounding box via interval bound propagation, for one box pair
     or a stack of them."""
     zetaL, zetaU = ibp_layer_intervals(net, T, R)[-1]
@@ -204,7 +203,7 @@ def _ref_range(WL, WU, zref):
             np.where(pos, zref * WU, zref * WL).sum(axis=-1))
 
 
-def _lbf_extreme(f: LinearBoundingFunction, T: InputBox, ranges, minimize: bool):
+def _lbf_extreme(f: LinearBoundingFunction, T: Box, ranges, minimize: bool):
     """Analytic optimum of each LBF row over the input and weight boxes;
     ranges[l] is layer l's ``_ref_range``, the last one the current layer's."""
     lo_x, hi_x = (T.lower, T.upper) if minimize else (T.upper, T.lower)
@@ -259,7 +258,7 @@ def _bilinear_lbf(A, b_end, zref, zL_f, zU_f, lower_side: bool):
     return f
 
 
-def lbp_forward(net: Network, T: InputBox, R: WeightBox):
+def lbp_forward(net: Network, T: Box, R: Box):
     """Output bounding box via linear bound propagation, one McCormick step
     per layer.
 
@@ -290,7 +289,7 @@ def lbp_forward(net: Network, T: InputBox, R: WeightBox):
         z_lo = activate(act, zetaL)     # post-activation lower end (monotone)
 
 
-def propagate(net: Network, T: InputBox, R: WeightBox, method: str = "ibp"):
+def propagate(net: Network, T: Box, R: Box, method: str = "ibp"):
     """Dispatch to the named propagation method.
 
     T and R may carry leading axes, which broadcast as in

@@ -15,6 +15,7 @@ stay the same.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -44,10 +45,10 @@ class RadiusSearchConfig:
             raise ValueError("tau_safe must lie in (0, 1]")
         if not 0.0 < self.tau_unsafe < 1.0:
             raise ValueError("tau_unsafe must lie in (0, 1)")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.eps_start_safe <= 0 or self.eps_start_unsafe <= 0:
-            raise ValueError("eps starts must be positive")
+        for name in ("step", "eps_start_safe", "eps_start_unsafe", "eps_cap"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, not "
+                                 f"{getattr(self, name)!r}")
         if self.eps_cap < max(self.eps_start_safe, self.eps_start_unsafe):
             raise ValueError("eps_cap must cover both start radii")
 

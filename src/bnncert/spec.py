@@ -1,7 +1,7 @@
-"""Input regions and safe output sets.
+"""Boxes, input regions and safe output sets.
 
-An input region is an axis-aligned box; a safe output set is a convex
-polytope C y + d >= 0 over the network logits.
+An input region and a weight box are both a ``Box``, axis-aligned; a safe
+output set is a convex polytope C y + d >= 0 over the network logits.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from .net import ShapeError
 
 
 @dataclass(frozen=True, eq=False)
-class InputBox:
-    """An axis-aligned input box, or a stack of boxes when ``lower`` and
-    ``upper`` carry leading axes, shape (..., n_in)."""
+class Box:
+    """An axis-aligned box over n coordinates (inputs, or the flat weight
+    vector), or a stack of boxes when ``lower`` and ``upper`` carry leading
+    axes, shape (..., n)."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -27,7 +28,7 @@ class InputBox:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim < 1:
-            raise ShapeError("box bounds must have equal shapes, (..., n_in)")
+            raise ShapeError("box bounds must have equal shapes, (..., n)")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
@@ -42,12 +43,16 @@ class InputBox:
         return 0.5 * (self.lower + self.upper)
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=(n, self.dim))
+        """n uniform points in every box of the stack, (n, ..., dim)."""
+        return rng.uniform(self.lower, self.upper, size=(n, *self.lower.shape))
 
     @staticmethod
-    def point(x) -> "InputBox":
+    def point(x) -> "Box":
         x = np.asarray(x, dtype=float)
-        return InputBox(lower=x, upper=x)
+        return Box(lower=x, upper=x)
+
+
+InputBox = Box              # an input region
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +80,7 @@ class OutputSpec:
         return np.all(vals >= 0.0, axis=-1)
 
 
-def linf_ball(x, eps, clip: tuple | None = None) -> InputBox:
+def linf_ball(x, eps, clip: tuple | None = None) -> Box:
     """L-infinity ball around x with scalar or per-dimension radius.
 
     clip, when given, is a (lo, hi) pair applied per dimension after widening.
@@ -88,7 +93,7 @@ def linf_ball(x, eps, clip: tuple | None = None) -> InputBox:
     if clip is not None:
         lo = np.maximum(lo, clip[0])
         hi = np.minimum(hi, clip[1])
-    return InputBox(lower=lo, upper=hi)
+    return Box(lower=lo, upper=hi)
 
 
 def argmax_spec(true_class: int, n_classes: int) -> OutputSpec:

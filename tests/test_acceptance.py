@@ -13,9 +13,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from bnncert.certify import (CertifyConfig, Task, dsafe_lower, dsafe_upper,
-                             psafe_lower, psafe_upper)
+from bnncert.certify import (CertifyConfig, Task, box_set,
+                             dsafe_bounds_all_classes, dsafe_lower,
+                             dsafe_upper, psafe_lower, psafe_upper)
+from bnncert.cli import _grid_cells
 from bnncert.cli import main as cli_main
+from bnncert.io import load_posterior
 from bnncert.net import Network, forward
 from bnncert.oracle import draw_weights, psafe_estimate
 from bnncert.posterior import (GaussianPosterior, SamplePosterior, WeightBox,
@@ -24,6 +27,7 @@ from bnncert.propagate import ibp_forward, lbp_forward
 from bnncert.search import (RadiusSearchConfig, max_robust_radius,
                             min_unrobust_radius)
 from bnncert.spec import InputBox, argmax_spec, contains, linf_ball
+from bnncert.trainer import hcas_label
 
 from conftest import count_violations, random_boxes, random_net
 
@@ -310,3 +314,53 @@ def test_criterion_10_end_to_end_pattern(tmp_path, capsys):
     code = cli_main(["validate", "--cases", "3", "--seed", "0",
                      "--out", str(tmp_path / "validate.json")])
     assert code == 0
+
+
+def test_cold_hcas_fixture_certifies_soundly(tmp_path):
+    """The paper's sweep on a cold HCAS posterior (narrow enough for boxes
+    of gamma 6.5 to certify): some cell is certified safe, and the bounds
+    bracket MC estimates, P_safe on every cell and D_safe on a few."""
+    post_path = str(tmp_path / "cold.json")
+    assert cli_main(["train", "--dataset", "hcas", "--hidden", "125",
+                     "--n-data", "3000", "--epochs", "40", "--kl-weight",
+                     "1e-4", "--seed", "1", "--out", post_path]) == 0
+    grid = [[-1, 1, 0.2], [-1, 1, 0.2], [-1, 1, 2.0], [-1, 1, 2.0]]
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps({"grid": grid, "label_rule": "hcas"}))
+    out_path = tmp_path / "sweep.csv"
+    assert cli_main(["sweep", "--posterior", post_path, "--spec", "unused",
+                     "--sweep-spec", str(sweep_path), "--samples", "4",
+                     "--gamma", "6.5", "--out", str(out_path)]) == 0
+    rows = [l.split(",") for l in out_path.read_text().splitlines()[1:]
+            if not l.startswith("#")]
+    assert len(rows) == 100
+    assert any(r[3] == "safe" for r in rows)
+
+    net, post = load_posterior(post_path)
+    T = _grid_cells(grid)
+    labels = hcas_label(T.center)
+    S = [argmax_spec(int(c), net.output_dim) for c in labels]
+    cfg = CertifyConfig(num_samples=4, gamma=6.5)
+    boxes = box_set(post, cfg)
+    lowers = psafe_lower(net, post, T, S, cfg, boxes)
+    uppers = psafe_upper(net, post, T, S, cfg, boxes)
+    assert [(f"{lo.value:.6f}", f"{up.value:.6f}") for lo, up in
+            zip(lowers, uppers)] == [(r[1], r[2]) for r in rows]
+    cells = [InputBox(lower=lo, upper=hi) for lo, hi in zip(T.lower, T.upper)]
+    for i, (Ti, Si, lo, up) in enumerate(zip(cells, S, lowers, uppers)):
+        _, ci_lo, ci_hi = psafe_estimate(net, post, Ti, Si, n_weights=300,
+                                         n_grid=32, seed=1000 + i)
+        assert lo.value <= ci_hi + 1e-9, f"cell {i}: lower {lo.value} > {ci_hi}"
+        assert up.value >= ci_lo - 1e-9, f"cell {i}: upper {up.value} < {ci_lo}"
+
+    dl, du = dsafe_bounds_all_classes(net, post, T, cfg, boxes)
+    safe = next(i for i, r in enumerate(rows) if r[3] == "safe")
+    for i in sorted({0, 33, 66, 99, safe}):
+        Ti = cells[i]
+        probes = np.vstack([Ti.center[None, :], Ti.lower[None, :],
+                            Ti.upper[None, :],
+                            Ti.sample(np.random.default_rng(2000 + i), 13)])
+        mean, se = _predictive_mean_stats(net, post, probes, 2000, 3000 + i)
+        slack = 3.0 * se
+        assert np.all(dl[i] <= np.min(mean + slack, axis=0) + 1e-9), f"cell {i}"
+        assert np.all(du[i] >= np.max(mean - slack, axis=0) - 1e-9), f"cell {i}"

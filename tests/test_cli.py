@@ -207,7 +207,38 @@ class TestSweepCommand:
         assert len([l for l in lines[1:] if not l.startswith("#")]) == 3
 
 
+def script_grid_cells(lo, hi, width):
+    """The cell edges of the deleted ``scripts/run_grid_sweep.py``, frozen."""
+    edges = np.arange(lo, hi - 1e-12, width)
+    return [(e, min(e + width, hi)) for e in edges]
+
+
+class TestSweepGrid:
+    def test_min_equal_max_fixes_a_coordinate(self):
+        T = cli._grid_cells([[-1, 1, 0.5], [0.25, 0.25, 1.0]])
+        assert T.lower.shape == (4, 2)
+        assert np.all(T.lower[:, 1] == 0.25) and np.all(T.upper[:, 1] == 0.25)
+        assert T.lower[:, 0].tolist() == [-1.0, -0.5, 0.0, 0.5]
+
+    @pytest.mark.parametrize("width", [0.1, 0.2, 0.25, 0.3])
+    def test_fixed_slice_matches_the_old_script(self, width):
+        cells = [(d, b) for d in script_grid_cells(-1.0, 1.0, width)
+                 for b in script_grid_cells(-1.0, 1.0, width)]
+        lower = [[dlo, blo, 0.25, -0.25] for (dlo, _), (blo, _) in cells]
+        upper = [[dhi, bhi, 0.25, -0.25] for (_, dhi), (_, bhi) in cells]
+        T = cli._grid_cells([[-1, 1, width], [-1, 1, width],
+                             [0.25, 0.25, 1], [-0.25, -0.25, 1]])
+        assert T.lower.tobytes() == np.array(lower).tobytes()
+        assert T.upper.tobytes() == np.array(upper).tobytes()
+
+
 class TestRadiusCommand:
+    def test_nan_step_exit_64(self, capsys, safe_posterior_file, spec_file):
+        code, out = run(capsys, "radius", "--posterior", safe_posterior_file,
+                        "--spec", spec_file, "--step", "nan")
+        assert code == 64
+        assert "step must be positive and finite" in out.err
+
     def test_emits_header_and_rows(self, capsys, safe_posterior_file, spec_file):
         code, out = run(capsys, "radius", "--posterior", safe_posterior_file,
                         "--spec", spec_file, "--samples", "3",
@@ -315,6 +346,7 @@ def test_non_finite_spec_exit_2(capsys, safe_posterior_file, tmp_path,
     ("sweep", "sweep", {"grid": [[-1, 1, 1.0], [-1, 1, 1.0]],
                         "true_class": [1]}),
     ("sweep", "sweep", {"grid": [[-1, 1], [-1, 1, 1.0]], "true_class": 0}),
+    ("sweep", "sweep", {"grid": [[1, -1, 1.0], [-1, 1, 1.0]], "true_class": 0}),
     ("sweep", "sweep", {"grid": "abc", "true_class": 0}),
     ("certify", "spec", [0.0, 0.1, 0]),
     ("certify", "posterior", [[0.0, 1.0]]),
@@ -328,6 +360,7 @@ def test_non_finite_spec_exit_2(capsys, safe_posterior_file, tmp_path,
     ("certify", "spec", b'{"center": "\xff"}'),
     ("sweep", "sweep", b'{"grid": "\xff"}'),
 ], ids=["spec-class-list", "sweep-class-list", "grid-row-short",
+        "grid-row-reversed",
         "grid-string", "spec-array", "posterior-array", "spec-class-range",
         "sweep-class-range", "spec-clip-short", "posterior-not-utf8", "spec-not-utf8",
         "sweep-not-utf8"])

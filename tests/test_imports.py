@@ -1,5 +1,6 @@
-"""Every import in the package modules is used, and every name that the
-bench and the scripts take from the package still exists.
+"""Every import in the package modules is used, every name that the
+bench and the scripts take from the package still exists, and every script
+that README names is there.
 
 There is no linter in the toolchain, so these stdlib-only checks are the
 gate. ``__init__.py`` is skipped (its imports are re-exports), and so is
@@ -10,6 +11,7 @@ import ast
 import importlib
 import inspect
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,12 @@ def test_client_imports_resolve(path):
     missing = [f"{m}.{n}" for m, n in bnncert_imports(path.read_text())
                if not resolves(m, n)]
     assert missing == []
+
+
+def test_readme_names_only_existing_scripts():
+    readme = (ROOT / "README.md").read_text()
+    named = sorted(set(re.findall(r"scripts/[\w/]+\.py", readme)))
+    assert named and [p for p in named if not (ROOT / p).is_file()] == []
 
 
 def test_bench_span_targets_exist():

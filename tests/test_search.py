@@ -117,6 +117,16 @@ def test_config_validation():
         RadiusSearchConfig(eps_cap=0.01, eps_start_unsafe=0.5)
 
 
+@pytest.mark.parametrize("field", ["step", "eps_start_safe",
+                                   "eps_start_unsafe", "eps_cap"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_radii(field, value):
+    # An infinite cap would make the upward grid endless; NaN compares
+    # false everywhere and slipped through the sign checks.
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        RadiusSearchConfig(**{field: value})
+
+
 def sequential_walks(net, post, x, S, cfg, scfg):
     """MaxRR and MinUR as linear walks with one certificate call per grid
     point: the rule that the batched searches reduce to."""

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnncert.net import ShapeError
-from bnncert.spec import (InputBox, OutputSpec, argmax_spec, contains,
+from bnncert.posterior import WeightBox
+from bnncert.spec import (Box, InputBox, OutputSpec, argmax_spec, contains,
                           excludes, linf_ball, margins, stack_specs)
 
 
@@ -186,6 +187,15 @@ def test_stack_specs_shapes_and_errors():
         stack_specs([S3], 2, 3)
     with pytest.raises(ShapeError, match="outputs"):
         stack_specs([S3, argmax_spec(0, 2)], 2, 3)
+
+
+def test_regions_and_weight_boxes_are_one_box_type():
+    assert InputBox is WeightBox is Box
+    stack = Box(lower=np.zeros((2, 3, 4)), upper=np.ones((2, 3, 4)))
+    assert stack.dim == 4 and stack.center.shape == (2, 3, 4)
+    assert stack.sample(np.random.default_rng(0), 5).shape == (5, 2, 3, 4)
+    with pytest.raises(ShapeError):
+        Box(lower=0.0, upper=1.0)
 
 
 def test_input_box_validation():
